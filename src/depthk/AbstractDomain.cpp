@@ -106,15 +106,11 @@ bool AbstractDomain::unifyAbstract(TermStore &Store, TermRef A,
 
 TermRef AbstractDomain::depthCutRec(
     const TermStore &Src, TermRef T, TermStore &Dst,
-    std::unordered_map<TermRef, TermRef> &Renaming, unsigned Level) const {
+    VarRenaming &Renaming, unsigned Level) const {
   T = Src.deref(T);
   switch (Src.tag(T)) {
-  case TermTag::Ref: {
-    auto It = Renaming.find(T);
-    if (It == Renaming.end())
-      It = Renaming.emplace(T, Dst.mkVar()).first;
-    return It->second;
-  }
+  case TermTag::Ref:
+    return Renaming.findOrInsert(T, [&] { return Dst.mkVar(); });
   case TermTag::Atom:
     return Dst.mkAtom(Src.symbol(T));
   case TermTag::Int:
@@ -138,7 +134,7 @@ TermRef AbstractDomain::depthCutRec(
 
 TermRef AbstractDomain::depthCut(
     const TermStore &Src, TermRef T, TermStore &Dst,
-    std::unordered_map<TermRef, TermRef> &Renaming) const {
+    VarRenaming &Renaming) const {
   return depthCutRec(Src, T, Dst, Renaming, 0);
 }
 

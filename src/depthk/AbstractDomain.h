@@ -21,6 +21,7 @@
 #define LPA_DEPTHK_ABSTRACTDOMAIN_H
 
 #include "term/Symbol.h"
+#include "term/TermCopy.h"
 #include "term/TermStore.h"
 
 namespace lpa {
@@ -61,7 +62,7 @@ public:
   /// >= k, ground subterms become gamma and non-ground subterms become
   /// fresh variables. Unbound variables are renamed via \p Renaming.
   TermRef depthCut(const TermStore &Src, TermRef T, TermStore &Dst,
-                   std::unordered_map<TermRef, TermRef> &Renaming) const;
+                   VarRenaming &Renaming) const;
 
   /// Least general generalization (anti-unification) of two abstract
   /// terms, built in \p Dst. Mismatched positions become gamma when both
@@ -81,7 +82,7 @@ public:
 
 private:
   TermRef depthCutRec(const TermStore &Src, TermRef T, TermStore &Dst,
-                      std::unordered_map<TermRef, TermRef> &Renaming,
+                      VarRenaming &Renaming,
                       unsigned Level) const;
 
   SymbolTable &Symbols;

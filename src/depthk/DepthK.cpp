@@ -319,7 +319,7 @@ void AbsInterp::solveGoal(Entry &Producer, TermRef G,
 
   TermRef CutCall;
   {
-    std::unordered_map<TermRef, TermRef> CutRenaming;
+    VarRenaming CutRenaming;
     if (Pred.Arity == 0) {
       CutCall = Heap.mkAtom(Pred.Sym);
     } else {
@@ -498,7 +498,7 @@ void AbsInterp::runEntry(Entry &E) {
       auto M2 = Heap.mark();
       TermRef Live = copyTerm(*Cur, CurStates[SI], Heap);
       TermRef FinalCall = Heap.deref(Heap.arg(Live, 0));
-      std::unordered_map<TermRef, TermRef> CutRenaming;
+      VarRenaming CutRenaming;
       TermRef AnsPattern;
       if (E.Pred.Arity == 0) {
         AnsPattern = Heap.mkAtom(E.Pred.Sym);

@@ -12,6 +12,7 @@
 #include "term/TermWriter.h"
 #include "term/Variant.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace lpa;
@@ -159,7 +160,9 @@ ErrorOr<bool> Database::loadClause(const TermStore &Src, TermRef ClauseTerm) {
     return handleDirective(Src, Src.arg(D, 0));
 
   // Copy the whole clause into our store first so head and body share
-  // variables.
+  // variables. A fresh-renaming copy is one self-contained block, from
+  // which the clause template is cut.
+  TermRef Lo = static_cast<TermRef>(ClauseStore.size());
   TermRef Local = copyTerm(Src, D, ClauseStore);
 
   TermRef Head = Local;
@@ -192,9 +195,34 @@ ErrorOr<bool> Database::loadClause(const TermStore &Src, TermRef ClauseTerm) {
     flattenConjunction(ClauseStore, Symbols, Body, C.Body);
   C.FirstArgKey =
       Key.Arity == 0 ? 0 : firstArgKey(ClauseStore, ClauseStore.arg(Head, 0));
+  // Post-order puts the ':-' and ',' wrapper cells last, and nothing else
+  // points at them, so the template ends with the last head/goal cell.
+  C.Lo = Lo;
+  C.Hi = Head + 1 + ClauseStore.arity(Head);
+  for (TermRef G : C.Body)
+    C.Hi = std::max(C.Hi, G + 1 + ClauseStore.arity(G));
+  numberBodyVars(C);
   P.Clauses.push_back(std::move(C));
   noteMutation(Key);
   return true;
+}
+
+void Database::numberBodyVars(Clause &C) const {
+  std::vector<TermRef> GoalVars;
+  for (uint32_t J = 0; J < C.Body.size(); ++J) {
+    GoalVars.clear();
+    collectFreeVars(ClauseStore, C.Body[J], GoalVars);
+    for (TermRef V : GoalVars) {
+      auto It = std::find_if(C.BodyVars.begin(), C.BodyVars.end(),
+                             [&](const Clause::BodyVar &B) {
+                               return B.Cell == V;
+                             });
+      if (It == C.BodyVars.end())
+        C.BodyVars.push_back({V, J});
+      else
+        It->LastGoal = J;
+    }
+  }
 }
 
 ErrorOr<bool> Database::loadProgram(const TermStore &Src,

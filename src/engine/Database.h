@@ -9,7 +9,8 @@
 /// The dynamic clause database. The paper's analyzers load transformed
 /// programs as *dynamic code* (XSB's assert) rather than compiling them,
 /// because preprocessing time dominates total analysis time; our database
-/// is exactly that: clause terms held in a store, resolved by renaming.
+/// is exactly that: clause terms held in a store, each one a relocatable
+/// cell block that resolution instantiates by copying it whole.
 /// Predicates may be marked tabled, either programmatically or with a
 /// ":- table p/N." directive in the source.
 ///
@@ -49,10 +50,28 @@ struct PredKeyHash {
 /// FirstArgKey enables cheap clause filtering on the first argument's
 /// principal functor (0 when the first argument is a variable or the
 /// predicate is atomic).
+///
+/// Each clause is also a *template*: its head and goals are the cells
+/// [Lo, Hi) of the store, with no reference leaving the range, so
+/// instantiating it is one TermStore::appendBlock and a stored ref R maps
+/// to R - Lo + the block's new base (head, goals and variables alike). Its
+/// body variables are numbered densely at assert time, with their liveness.
 struct Clause {
+  /// A body variable: its cell and the last goal it occurs in. It is
+  /// *live* at goal J (still needed by some goal >= J) iff LastGoal >= J.
+  struct BodyVar {
+    TermRef Cell;
+    uint32_t LastGoal;
+  };
+
   TermRef Head;
   std::vector<TermRef> Body; ///< Flattened conjunction of goals.
   uint64_t FirstArgKey;      ///< 0 = matches anything.
+  TermRef Lo = 0, Hi = 0;    ///< The template's cell block.
+  /// The distinct body variables in first-occurrence order over the body.
+  /// A supplementary-frontier state at level J stores the bindings of the
+  /// ones live at J, in this order.
+  std::vector<BodyVar> BodyVars;
 };
 
 /// All clauses of one predicate.
@@ -141,6 +160,13 @@ public:
   /// The store holding clause terms.
   const TermStore &store() const { return ClauseStore; }
 
+  /// Instantiates stored clause \p C in \p Dst (one appendBlock of its
+  /// template). \returns the offset that maps a stored ref of \p C (head,
+  /// goal or variable) to its copy in \p Dst.
+  TermRef instantiate(const Clause &C, TermStore &Dst) const {
+    return Dst.appendBlock(ClauseStore, C.Lo, C.Hi) - C.Lo;
+  }
+
   SymbolTable &symbols() { return Symbols; }
   const SymbolTable &symbols() const { return Symbols; }
 
@@ -159,6 +185,8 @@ private:
   /// caught here, before any clause is stored.
   ErrorOr<bool> validateClause(const TermStore &Src, TermRef ClauseTerm) const;
   ErrorOr<bool> checkTableSpec(const TermStore &Src, TermRef Spec) const;
+  /// Fills \p C.BodyVars.
+  void numberBodyVars(Clause &C) const;
   /// Stamps \p Key with a fresh global revision.
   void noteMutation(PredKey Key) { PredRevisions[Key] = ++RevCounter; }
 

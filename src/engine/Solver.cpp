@@ -248,15 +248,14 @@ TermRef Solver::answerInstance(const Subgoal &SG, size_t I,
   if (!SG.Factored)
     return copyTerm(Tables, SG.Answers[I], Out);
   // Copy the binding tuple first (one shared renaming keeps sharing
-  // between slots), then instantiate the call skeleton through it.
+  // between slots), then instantiate the call skeleton through it. The
+  // tuple's variables are cells of their own, never call variables, so
+  // each call variable can be mapped as soon as its binding is copied.
   size_t K = SG.CallVars.size();
   VarRenaming Renaming;
   const TermRef *B = SG.AnswerBindings.data() + I * K;
-  std::vector<TermRef> Copies(K);
   for (size_t J = 0; J < K; ++J)
-    Copies[J] = copyTerm(Tables, B[J], Out, Renaming);
-  for (size_t J = 0; J < K; ++J)
-    Renaming.emplace(SG.CallVars[J], Copies[J]);
+    Renaming.insert(SG.CallVars[J], copyTerm(Tables, B[J], Out, Renaming));
   return copyTerm(Tables, SG.CallTerm, Out, Renaming);
 }
 
@@ -987,15 +986,12 @@ Solver::Signal Solver::solveNontabled(const Predicate &P, TermRef Goal,
       Trace->emit(TraceEventKind::ClauseResolve, P.Key.Sym, P.Key.Arity);
 
     auto M = Heap.mark();
-    VarRenaming Renaming;
-    TermRef Head = copyTerm(DB.store(), C.Head, Heap, Renaming);
+    TermRef Delta = DB.instantiate(C, Heap);
     Signal S = Signal::exhausted();
-    if (unify(Heap, Goal, Head, Opts.OccursCheck)) {
+    if (unify(Heap, Goal, C.Head + Delta, Opts.OccursCheck)) {
       const GoalNode *BodyGoals = Rest;
       for (size_t I = C.Body.size(); I-- > 0;)
-        BodyGoals =
-            makeGoal(copyTerm(DB.store(), C.Body[I], Heap, Renaming),
-                     BodyGoals);
+        BodyGoals = makeGoal(C.Body[I] + Delta, BodyGoals);
       S = solveGoals(BodyGoals, Depth + 1, MyLevel, OnSolution);
     }
     Heap.undoTo(M);
@@ -1106,9 +1102,9 @@ bool Solver::recordAnswer(Subgoal &SG, TermRef Instance) {
     ++Stats.TrieMisses;
     // One shared renaming across the tuple: variables shared between
     // binding slots stay shared in the table store.
-    VarRenaming Renaming;
+    RenameScratch.clear();
     for (TermRef B : BindScratch)
-      SG.AnswerBindings.push_back(copyTerm(Heap, B, Tables, Renaming));
+      SG.AnswerBindings.push_back(copyTerm(Heap, B, Tables, RenameScratch));
     SG.AnswerSeq.push_back(++AnswerSeqCounter);
   } else {
     // Legacy string-keyed path. The probe key lives in a member scratch
@@ -1380,56 +1376,27 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
 
   // Snapshot the old/new boundary *before* initialization so the level-0
   // seed counts as new on the first run (facts must record answers).
-  std::vector<size_t> OldCount(NumGoals + 1);
+  size_t OldBase = OldCountStack.size();
   for (size_t J = 0; J <= NumGoals; ++J)
-    OldCount[J] = CF.Levels[J].size();
+    OldCountStack.push_back(CF.Levels[J].size());
 
   if (!CF.Initialized) {
     CF.Initialized = true;
-
-    // Liveness of clause variables: LiveIdx[J] = vars of goals >= J.
-    for (TermRef G : C.Body)
-      collectFreeVars(DB.store(), G, CF.TemplateVars);
-    CF.LiveIdx.assign(NumGoals + 1, {});
-    std::vector<std::vector<TermRef>> GoalVars(NumGoals);
-    for (size_t J = 0; J < NumGoals; ++J)
-      collectFreeVars(DB.store(), C.Body[J], GoalVars[J]);
-    for (uint32_t VI = 0; VI < CF.TemplateVars.size(); ++VI) {
-      // Live at J iff it occurs in some goal >= J.
-      size_t LastUse = 0;
-      bool Used = false;
-      for (size_t J = 0; J < NumGoals; ++J)
-        if (std::find(GoalVars[J].begin(), GoalVars[J].end(),
-                      CF.TemplateVars[VI]) != GoalVars[J].end()) {
-          LastUse = J;
-          Used = true;
-        }
-      if (!Used)
-        continue;
-      for (size_t J = 0; J <= LastUse; ++J)
-        CF.LiveIdx[J].push_back(VI);
-    }
-
     auto M = Heap.mark();
     TermRef Call = copyTerm(Tables, SG.CallTerm, Heap);
-    VarRenaming Renaming;
-    TermRef Head = copyTerm(DB.store(), C.Head, Heap, Renaming);
-    if (!unify(Heap, Call, Head, Opts.OccursCheck)) {
+    TermRef Delta = DB.instantiate(C, Heap);
+    if (!unify(Heap, Call, C.Head + Delta, Opts.OccursCheck)) {
       CF.HeadFailed = true;
       Heap.undoTo(M);
+      OldCountStack.resize(OldBase);
       return;
     }
     // Level-0 state: $state(Call, live vars). Head variables shared with
-    // body goals map through Renaming; body-only variables start fresh.
-    std::vector<TermRef> StateArgs{Call};
-    for (uint32_t VI : CF.LiveIdx[0]) {
-      TermRef TV = CF.TemplateVars[VI];
-      auto It = Renaming.find(TV);
-      if (It == Renaming.end())
-        It = Renaming.emplace(TV, Heap.mkVar()).first;
-      StateArgs.push_back(It->second);
-    }
-    TermRef State = Heap.mkStruct(StateSym, StateArgs);
+    // body goals carry the head unification's bindings.
+    StateArgScratch.assign(1, Call);
+    for (const Clause::BodyVar &B : C.BodyVars)
+      StateArgScratch.push_back(B.Cell + Delta); // All live at goal 0.
+    TermRef State = Heap.mkStruct(StateSym, StateArgScratch);
     if (Opts.UseTrieTables) {
       if (!CF.LevelTries[0])
         CF.LevelTries[0] = std::make_unique<TermTrie>();
@@ -1479,36 +1446,38 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
     }
     // Levels[J] does not grow while processing level J (solutions land in
     // J+1), so the plain loop bound is safe.
-    const std::vector<uint32_t> &LiveHere = CF.LiveIdx[J];
-    const std::vector<uint32_t> &LiveNext = CF.LiveIdx[J + 1];
+    size_t OldCount = OldCountStack[OldBase + J];
     for (size_t Idx = 0; Idx < CF.Levels[J].size(); ++Idx) {
-      bool IsOld = Idx < OldCount[J];
+      bool IsOld = Idx < OldCount;
       uint64_t MinSeq = IsOld ? PrevWatermark : 0;
       if (IsOld && Policy == OldPolicy::Skip)
         continue;
       auto M = Heap.mark();
-      TermRef Live = copyTerm(CF.Store, CF.Levels[J][Idx], Heap);
-      // Rebuild goal J from its template under this state's bindings.
-      VarRenaming GoalRenaming;
-      for (uint32_t K = 0; K < LiveHere.size(); ++K)
-        GoalRenaming.emplace(CF.TemplateVars[LiveHere[K]],
-                             Heap.arg(Live, K + 1));
-      TermRef Goal = copyTerm(DB.store(), C.Body[J], Heap, GoalRenaming);
+      TermRef Live = restoreState(CF, CF.Levels[J][Idx]);
+      // Rebuild goal J from a fresh clause instance whose live variables
+      // are bound to this state's arguments (trailed; undone with M).
+      TermRef Delta = DB.instantiate(C, Heap);
+      uint32_t Slot = 0;
+      for (const Clause::BodyVar &B : C.BodyVars)
+        if (B.LastGoal >= J)
+          Heap.bind(B.Cell + Delta, Heap.arg(Live, ++Slot));
+      TermRef Goal = C.Body[J] + Delta;
       // Premises this step consumes sit above StepBase while the frontier
       // callback runs (solveSemiGoal pushes around each answer return).
       size_t StepBase = PremiseStack.size();
       solveSemiGoal(Goal, MinSeq, [&]() {
         // Project onto the variables still live after this goal.
         auto M2 = Heap.mark();
-        std::vector<TermRef> Rest{Heap.arg(Live, 0)};
-        for (uint32_t VI : LiveNext) {
-          // LiveNext is a subset of LiveHere; find its slot.
-          size_t Slot =
-              std::lower_bound(LiveHere.begin(), LiveHere.end(), VI) -
-              LiveHere.begin();
-          Rest.push_back(Heap.arg(Live, static_cast<uint32_t>(Slot + 1)));
+        StateArgScratch.assign(1, Heap.arg(Live, 0));
+        uint32_t Slot = 0;
+        for (const Clause::BodyVar &B : C.BodyVars) {
+          if (B.LastGoal < J)
+            continue; // Not in this state.
+          ++Slot;
+          if (B.LastGoal > J) // Still live after this goal.
+            StateArgScratch.push_back(Heap.arg(Live, Slot));
         }
-        TermRef Next = Heap.mkStruct(StateSym, Rest);
+        TermRef Next = Heap.mkStruct(StateSym, StateArgScratch);
         bool IsNew;
         if (Opts.UseTrieTables) {
           // Fused check/insert: one walk of the state term.
@@ -1541,10 +1510,10 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
   }
 
   // New final states become answers (old ones were recorded previously).
-  for (size_t Idx = OldCount[NumGoals]; Idx < CF.Levels[NumGoals].size();
-       ++Idx) {
+  for (size_t Idx = OldCountStack[OldBase + NumGoals];
+       Idx < CF.Levels[NumGoals].size(); ++Idx) {
     auto M = Heap.mark();
-    TermRef Live = copyTerm(CF.Store, CF.Levels[NumGoals][Idx], Heap);
+    TermRef Live = restoreState(CF, CF.Levels[NumGoals][Idx]);
     if (Prov) {
       // The final state's premise list is distributed along its Origin
       // chain; materialize it (in body-goal order) and hand it to
@@ -1560,6 +1529,15 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
     PendingPremises = nullptr;
     Heap.undoTo(M);
   }
+  OldCountStack.resize(OldBase);
+}
+
+TermRef Solver::restoreState(const ClauseFrontier &CF, TermRef Root) {
+  // Each state was frozen by one fresh-renaming copyTerm, so it is a
+  // self-contained block of CF.Store ending with the root's argument slots.
+  TermRef Lo = copiedBlockStart(CF.Store, Root);
+  TermRef Hi = Root + CF.Store.arity(Root) + 1;
+  return Heap.appendBlock(CF.Store, Lo, Hi) + (Root - Lo);
 }
 
 void Solver::collectFrontierPremises(const ClauseFrontier &CF, size_t Level,
@@ -1623,14 +1601,12 @@ bool Solver::runProducer(Subgoal &SG) {
     if (Trace)
       Trace->emit(TraceEventKind::ClauseResolve, SG.Pred.Sym, SG.Pred.Arity);
     auto M2 = Heap.mark();
-    VarRenaming Renaming;
-    TermRef Head = copyTerm(DB.store(), C.Head, Heap, Renaming);
+    TermRef Delta = DB.instantiate(C, Heap);
     Signal S = Signal::exhausted();
-    if (unify(Heap, Call, Head, Opts.OccursCheck)) {
+    if (unify(Heap, Call, C.Head + Delta, Opts.OccursCheck)) {
       const GoalNode *BodyGoals = nullptr;
       for (size_t I = C.Body.size(); I-- > 0;)
-        BodyGoals = makeGoal(copyTerm(DB.store(), C.Body[I], Heap, Renaming),
-                             BodyGoals);
+        BodyGoals = makeGoal(C.Body[I] + Delta, BodyGoals);
       // Everything pushed above this floor while the body runs is a
       // premise of any answer the body derives.
       if (Prov)
@@ -1651,7 +1627,7 @@ bool Solver::runProducer(Subgoal &SG) {
 }
 
 void Solver::extractCallBindings(const Subgoal &SG, TermRef Instance,
-                                 std::vector<TermRef> &Out) const {
+                                 std::vector<TermRef> &Out) {
   size_t NumVars = SG.CallVars.size();
   Out.assign(NumVars, InvalidTerm);
   if (NumVars == 0)
@@ -1660,7 +1636,8 @@ void Solver::extractCallBindings(const Subgoal &SG, TermRef Instance,
   // that variable's binding in this answer. Early exit once every call
   // variable has been seen (repeated occurrences bind identically).
   size_t Found = 0;
-  std::vector<std::pair<TermRef, TermRef>> Work{{SG.CallTerm, Instance}};
+  std::vector<std::pair<TermRef, TermRef>> &Work = BindWork;
+  Work.assign(1, {SG.CallTerm, Instance});
   while (!Work.empty() && Found < NumVars) {
     auto [C, I] = Work.back();
     Work.pop_back();
@@ -1701,9 +1678,9 @@ void Solver::bindFactoredAnswer(const Subgoal &SG, size_t I,
   // One shared renaming keeps variables shared across binding slots
   // shared in the consumer too. The goal's variables are unbound here
   // (the caller holds a mark), so plain trailed binds suffice.
-  VarRenaming Renaming;
+  RenameScratch.clear();
   for (size_t J = 0; J < NumVars; ++J)
-    Heap.bind(GoalVars[J], copyTerm(Tables, B[J], Heap, Renaming));
+    Heap.bind(GoalVars[J], copyTerm(Tables, B[J], Heap, RenameScratch));
 }
 
 size_t Solver::releaseCompletedState(Subgoal &SG) {

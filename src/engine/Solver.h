@@ -42,6 +42,7 @@
 #include "table/DependencyIndex.h"
 #include "table/SharedTables.h"
 #include "table/TermTrie.h"
+#include "term/TermCopy.h"
 #include "term/TermStore.h"
 
 #include <functional>
@@ -192,19 +193,18 @@ struct ClauseFrontier {
   TermStore Store;
   /// Levels[j]: states with the first j body goals solved. A state is
   /// $state(Call, V...) carrying the call instance plus the bindings of
-  /// exactly the clause variables still *live* (occurring in a goal >= j);
-  /// goals themselves are rebuilt from the clause templates, so states
-  /// stay small and dead bindings do not defeat deduplication.
+  /// exactly the clause variables still *live* (occurring in a goal >= j,
+  /// see Clause::BodyVars); goals themselves are rebuilt from the clause
+  /// template, so states stay small and dead bindings do not defeat
+  /// deduplication.
+  /// Each state is frozen by one fresh-renaming copyTerm, so it is a
+  /// self-contained block of Store; the entry is its root cell.
   std::vector<std::vector<TermRef>> Levels;
   /// Per-level dedup, string keys (legacy path, UseTrieTables off).
   std::vector<std::unordered_set<std::string>> Keys;
   /// Per-level dedup, term tries (UseTrieTables on). Allocated lazily per
   /// level on first insert.
   std::vector<std::unique_ptr<TermTrie>> LevelTries;
-  /// Distinct variables of the clause body, in the database store.
-  std::vector<TermRef> TemplateVars;
-  /// LiveIdx[j]: indices into TemplateVars of the variables live at j.
-  std::vector<std::vector<uint32_t>> LiveIdx;
   uint64_t Watermark = 0; ///< Global answer seq at the previous run's start.
   bool Initialized = false;
   bool HeadFailed = false;
@@ -744,6 +744,10 @@ private:
   /// back to tuple-at-a-time SLD.
   bool runProducer(Subgoal &SG);
 
+  /// Copies the frozen state rooted at \p Root in \p CF.Store back into
+  /// the heap (one appendBlock). \returns the copy of the root.
+  TermRef restoreState(const ClauseFrontier &CF, TermRef Root);
+
   /// Semi-naive evaluation of pure clause \p C (index \p ClauseIdx in its
   /// predicate) for \p SG, through the subgoal's ClauseFrontier.
   void runClauseSupplementary(Subgoal &SG, const Clause &C, size_t ClauseIdx,
@@ -798,7 +802,7 @@ private:
   /// (heap) in lockstep and collects, for each of SG.CallVars in order,
   /// the heap subterm it is bound to in this instance.
   void extractCallBindings(const Subgoal &SG, TermRef Instance,
-                           std::vector<TermRef> &Out) const;
+                           std::vector<TermRef> &Out);
 
   /// Instantiates the consumer's \p GoalVars (its free variables in
   /// first-occurrence order; the goal is a variant of SG.CallTerm) with
@@ -893,6 +897,16 @@ private:
   /// live across a reentrant call).
   std::string KeyScratch;
   std::vector<TermRef> BindScratch;
+  /// Same discipline: extractCallBindings' walk, the answer-tuple renaming
+  /// of recordAnswer/bindFactoredAnswer, and the state arguments the
+  /// supplementary frontier callback assembles.
+  std::vector<std::pair<TermRef, TermRef>> BindWork;
+  VarRenaming RenameScratch;
+  std::vector<TermRef> StateArgScratch;
+  /// Per-level old/new boundaries of the runClauseSupplementary calls in
+  /// progress, stacked: a run owns the top NumGoals + 1 entries (indexed,
+  /// since nested runs may grow the vector) and pops them on return.
+  std::vector<size_t> OldCountStack;
   std::vector<Subgoal *> CompletionStack;
   std::vector<Subgoal *> ProducerStack;
   uint64_t DfnCounter = 0;

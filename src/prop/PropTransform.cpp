@@ -9,6 +9,7 @@
 
 #include "reader/Parser.h"
 #include "term/TermWriter.h"
+#include "term/Variant.h"
 
 #include <algorithm>
 
@@ -18,33 +19,12 @@ SymbolId PropTransformer::abstractSymbol(SymbolId Sym) {
   return Symbols.intern(abstractName(Symbols.name(Sym)));
 }
 
-void PropTransformer::collectVars(const TermStore &Src, TermRef T,
-                                  std::vector<TermRef> &Vars) {
-  T = Src.deref(T);
-  switch (Src.tag(T)) {
-  case TermTag::Ref:
-    if (std::find(Vars.begin(), Vars.end(), T) == Vars.end())
-      Vars.push_back(T);
-    return;
-  case TermTag::Struct:
-    for (uint32_t I = 0, E = Src.arity(T); I < E; ++I)
-      collectVars(Src, Src.arg(T, I), Vars);
-    return;
-  case TermTag::Atom:
-  case TermTag::Int:
-    return;
-  }
-}
-
 TermRef PropTransformer::translateArg(const TermStore &Src, TermRef T,
-                                      TermStore &Dst, VarRenamingMap &VarMap,
+                                      TermStore &Dst, VarRenaming &VarMap,
                                       std::vector<TermRef> &Goals) {
   T = Src.deref(T);
   auto Tau = [&](TermRef V) {
-    auto It = VarMap.find(V);
-    if (It == VarMap.end())
-      It = VarMap.emplace(V, Dst.mkVar()).first;
-    return It->second;
+    return VarMap.findOrInsert(V, [&] { return Dst.mkVar(); });
   };
 
   // A bare variable needs no iff: its abstract value *is* tau(x).
@@ -54,7 +34,7 @@ TermRef PropTransformer::translateArg(const TermStore &Src, TermRef T,
   // S[t]a = iff(a, a1..ak) over Vars(t). Ground terms yield iff(a),
   // forcing a = true (Figure 2: iff(X1) for the [] argument).
   std::vector<TermRef> Vars;
-  collectVars(Src, T, Vars);
+  collectFreeVars(Src, T, Vars);
   TermRef A = Dst.mkVar();
   std::vector<TermRef> IffArgs{A};
   for (TermRef V : Vars)
@@ -64,23 +44,20 @@ TermRef PropTransformer::translateArg(const TermStore &Src, TermRef T,
 }
 
 void PropTransformer::emitGroundAll(const TermStore &Src, TermRef T,
-                                    TermStore &Dst, VarRenamingMap &VarMap,
+                                    TermStore &Dst, VarRenaming &VarMap,
                                     std::vector<TermRef> &Goals) {
   std::vector<TermRef> Vars;
-  collectVars(Src, T, Vars);
+  collectFreeVars(Src, T, Vars);
   for (TermRef V : Vars) {
-    auto It = VarMap.find(V);
-    if (It == VarMap.end())
-      It = VarMap.emplace(V, Dst.mkVar()).first;
+    TermRef Tv = VarMap.findOrInsert(V, [&] { return Dst.mkVar(); });
     // iff(Tv): Tv <-> empty conjunction = true.
-    Goals.push_back(
-        Dst.mkStruct(Symbols.Iff, std::span<const TermRef>(&It->second, 1)));
+    Goals.push_back(Dst.mkStruct(Symbols.Iff, std::span<const TermRef>(&Tv, 1)));
   }
 }
 
 ErrorOr<bool> PropTransformer::translateGoal(const TermStore &Src,
                                              TermRef Goal, TermStore &Dst,
-                                             VarRenamingMap &VarMap,
+                                             VarRenaming &VarMap,
                                              std::vector<TermRef> &Goals) {
   TermRef G = Src.deref(Goal);
   TermTag Tag = Src.tag(G);
@@ -226,7 +203,7 @@ ErrorOr<bool> PropTransformer::transformClause(const TermStore &Src,
       Out.Predicates.end())
     Out.Predicates.push_back(Concrete);
 
-  VarRenamingMap VarMap;
+  VarRenaming VarMap;
   std::vector<TermRef> Goals;
 
   // Abstract head.

@@ -28,10 +28,10 @@
 #include "engine/Database.h"
 #include "support/Error.h"
 #include "term/Symbol.h"
+#include "term/TermCopy.h"
 #include "term/TermStore.h"
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace lpa {
@@ -47,9 +47,6 @@ struct PropProgram {
 /// Performs the Figure-1 transformation.
 class PropTransformer {
 public:
-  /// Per-clause renaming from source variables to abstract variables (tau).
-  using VarRenamingMap = std::unordered_map<TermRef, TermRef>;
-
   explicit PropTransformer(SymbolTable &Symbols) : Symbols(Symbols) {}
 
   /// Transforms all clauses (terms in \p Src) into abstract clauses built
@@ -74,20 +71,17 @@ private:
   ErrorOr<bool> transformClause(const TermStore &Src, TermRef Clause,
                                 TermStore &Dst, PropProgram &Out);
   /// S[t]a: returns the abstract argument for source term \p T, emitting
-  /// iff goals into \p Goals. \p VarMap is the per-clause tau renaming.
+  /// iff goals into \p Goals. \p VarMap is the per-clause renaming from
+  /// source variables to abstract variables (tau).
   TermRef translateArg(const TermStore &Src, TermRef T, TermStore &Dst,
-                       VarRenamingMap &VarMap, std::vector<TermRef> &Goals);
+                       VarRenaming &VarMap, std::vector<TermRef> &Goals);
   /// L[c]: translates one body literal.
   ErrorOr<bool> translateGoal(const TermStore &Src, TermRef Goal,
-                              TermStore &Dst, VarRenamingMap &VarMap,
+                              TermStore &Dst, VarRenaming &VarMap,
                               std::vector<TermRef> &Goals);
   /// Emits iff(Tv) ("v is ground") for every variable of \p T.
   void emitGroundAll(const TermStore &Src, TermRef T, TermStore &Dst,
-                     VarRenamingMap &VarMap, std::vector<TermRef> &Goals);
-
-  /// Collects the distinct variables of \p T in first-occurrence order.
-  static void collectVars(const TermStore &Src, TermRef T,
-                          std::vector<TermRef> &Vars);
+                     VarRenaming &VarMap, std::vector<TermRef> &Goals);
 
   SymbolTable &Symbols;
 };

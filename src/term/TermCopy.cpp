@@ -7,49 +7,56 @@
 
 #include "term/TermCopy.h"
 
-#include <memory>
-
-#include <vector>
+#include <algorithm>
+#include <span>
 
 using namespace lpa;
 
+void VarRenaming::insert(TermRef Var, TermRef Copy) {
+  assert(find(Var) == InvalidTerm && "variable renamed twice");
+  Entries.emplace_back(Var, Copy);
+  if (Entries.size() <= SmallLimit)
+    return;
+  if (Index.size() >= 2 * Entries.size()) {
+    place(Entries.size() - 1);
+    return;
+  }
+  // Regrow to at most a quarter full (so at most half full until the next
+  // regrowth) and place every entry again.
+  size_t Size = 64;
+  for (IndexShift = 58; Size < 4 * Entries.size(); --IndexShift)
+    Size *= 2;
+  Index.assign(Size, 0);
+  for (size_t E = 0; E < Entries.size(); ++E)
+    place(E);
+}
+
+void VarRenaming::place(size_t E) {
+  size_t S = slot(Entries[E].first);
+  while (Index[S] != 0)
+    S = (S + 1) & (Index.size() - 1);
+  Index[S] = static_cast<uint32_t>(E + 1);
+}
+
 namespace {
 
-/// Memo for shared subterms. Most copied terms are tiny, so a linear
-/// vector handles the common case; past a threshold it upgrades to a hash
-/// map (long lists, big answers).
-class CopyMemo {
-public:
-  TermRef find(TermRef Key) const {
-    if (Big)
-      return lookupBig(Key);
-    for (const auto &[K, V] : Small)
-      if (K == Key)
-        return V;
-    return InvalidTerm;
-  }
-
-  void insert(TermRef Key, TermRef Value) {
-    if (!Big) {
-      if (Small.size() < 32) {
-        Small.emplace_back(Key, Value);
-        return;
-      }
-      Big = std::make_unique<std::unordered_map<TermRef, TermRef>>(
-          Small.begin(), Small.end());
-    }
-    Big->emplace(Key, Value);
-  }
-
-private:
-  TermRef lookupBig(TermRef Key) const {
-    auto It = Big->find(Key);
-    return It == Big->end() ? InvalidTerm : It->second;
-  }
-
-  std::vector<std::pair<TermRef, TermRef>> Small;
-  std::unique_ptr<std::unordered_map<TermRef, TermRef>> Big;
+/// Scratch of one thread's copyTerm calls. copyTerm never re-enters itself,
+/// so a single instance per thread serves every call; parallel eval
+/// workers each get their own.
+struct CopyScratch {
+  struct Frame {
+    TermRef Node;     // Dereferenced Struct in Src.
+    uint32_t ArgBase; // Where this frame's argument copies start in Args.
+  };
+  std::vector<Frame> Frames;
+  std::vector<TermRef> Args;
+  /// Copies of the compound subterms seen in this call (sharing).
+  VarRenaming Memo;
+  /// The renaming of the fresh-renaming overload.
+  VarRenaming Fresh;
 };
+
+thread_local CopyScratch Scratch;
 
 } // namespace
 
@@ -57,73 +64,78 @@ TermRef lpa::copyTerm(const TermStore &Src, TermRef T, TermStore &Dst,
                       VarRenaming &Renaming) {
   // Iterative post-order construction; recursion would overflow on the long
   // right-nested lists and conjunctions the corpus programs build.
-  struct Frame {
-    TermRef Node;               // Dereferenced Struct in Src.
-    std::vector<TermRef> Args;  // Copies produced so far.
-  };
-  // Preserves sharing of compound subterms within this copy.
-  CopyMemo Memo;
-
-  std::vector<Frame> Stack;
+  CopyScratch &S = Scratch;
+  S.Memo.clear();
+  S.Frames.clear();
+  S.Args.clear();
   TermRef Pending = T;
-  TermRef Done = InvalidTerm;
-
   while (true) {
     // Phase 1: resolve Pending into Done, or open a frame for a struct.
-    while (Pending != InvalidTerm) {
-      TermRef D = Src.deref(Pending);
-      Pending = InvalidTerm;
-      switch (Src.tag(D)) {
-      case TermTag::Ref: {
-        auto It = Renaming.find(D);
-        if (It == Renaming.end())
-          It = Renaming.emplace(D, Dst.mkVar()).first;
-        Done = It->second;
-        break;
-      }
-      case TermTag::Atom:
-        Done = Dst.mkAtom(Src.symbol(D));
-        break;
-      case TermTag::Int:
-        Done = Dst.mkInt(Src.intValue(D));
-        break;
-      case TermTag::Struct: {
-        TermRef Hit = Memo.find(D);
-        if (Hit != InvalidTerm) {
-          Done = Hit;
-          break;
-        }
-        Stack.push_back({D, {}});
-        Stack.back().Args.reserve(Src.arity(D));
+    TermRef D = Src.deref(Pending);
+    TermRef Done = InvalidTerm;
+    switch (Src.tag(D)) {
+    case TermTag::Ref:
+      Done = Renaming.findOrInsert(D, [&] { return Dst.mkVar(); });
+      break;
+    case TermTag::Atom:
+      Done = Dst.mkAtom(Src.symbol(D));
+      break;
+    case TermTag::Int:
+      Done = Dst.mkInt(Src.intValue(D));
+      break;
+    case TermTag::Struct:
+      Done = S.Memo.find(D);
+      if (Done == InvalidTerm) {
+        S.Frames.push_back({D, static_cast<uint32_t>(S.Args.size())});
         Pending = Src.arg(D, 0);
+        continue;
+      }
+      break;
+    }
+
+    // Phase 2: deliver Done upward, building every struct it completes.
+    while (true) {
+      if (S.Frames.empty())
+        return Done;
+      CopyScratch::Frame F = S.Frames.back();
+      S.Args.push_back(Done);
+      uint32_t Have = static_cast<uint32_t>(S.Args.size()) - F.ArgBase;
+      uint32_t Arity = Src.arity(F.Node);
+      if (Have < Arity) {
+        Pending = Src.arg(F.Node, Have);
         break;
       }
-      }
+      Done = Dst.mkStruct(Src.symbol(F.Node),
+                          std::span<const TermRef>(S.Args.data() + F.ArgBase,
+                                                   Arity));
+      S.Memo.insert(F.Node, Done);
+      S.Args.resize(F.ArgBase);
+      S.Frames.pop_back();
     }
-    if (Done == InvalidTerm)
-      continue; // A frame was opened; its first argument is now Pending.
-
-    // Phase 2: deliver Done upward.
-    if (Stack.empty())
-      return Done;
-    Frame &F = Stack.back();
-    F.Args.push_back(Done);
-    Done = InvalidTerm;
-    uint32_t Arity = Src.arity(F.Node);
-    if (F.Args.size() < Arity) {
-      Pending = Src.arg(F.Node, static_cast<uint32_t>(F.Args.size()));
-      continue;
-    }
-    TermRef Copy = Dst.mkStruct(Src.symbol(F.Node), F.Args);
-    Memo.insert(F.Node, Copy);
-    Stack.pop_back();
-    Done = Copy;
   }
 }
 
 TermRef lpa::copyTerm(const TermStore &Src, TermRef T, TermStore &Dst) {
-  VarRenaming Renaming;
-  return copyTerm(Src, T, Dst, Renaming);
+  VarRenaming &Fresh = Scratch.Fresh;
+  Fresh.clear();
+  return copyTerm(Src, T, Dst, Fresh);
+}
+
+TermRef lpa::copiedBlockStart(const TermStore &Store, TermRef Root) {
+  // In copyTerm's post-order layout every block cell below Root has a
+  // pointer from above: a value cell from the argument slot that holds it,
+  // an argument slot (via its compound cell, which sits below the slot)
+  // from the parent's slot holding that compound cell. So a downward scan
+  // from the top that tracks the lowest target seen so far reaches every
+  // cell of the block and stops exactly at its first.
+  assert(Store.tag(Root) == TermTag::Struct && "root must be compound");
+  TermRef Lo = Root;
+  for (TermRef I = Root + Store.arity(Root) + 1; I > Lo;) {
+    --I;
+    if (Store.tag(I) == TermTag::Ref)
+      Lo = std::min(Lo, Store.deref(I));
+  }
+  return Lo;
 }
 
 size_t lpa::termSizeCells(const TermStore &Store, TermRef T) {

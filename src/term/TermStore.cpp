@@ -7,6 +7,9 @@
 
 #include "term/TermStore.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 using namespace lpa;
 
 TermRef TermStore::mkVar() {
@@ -68,6 +71,27 @@ size_t TermStore::termBytes(TermRef T) const {
         Stack.push_back(arg(D, I));
   }
   return Cnt * sizeof(Cell);
+}
+
+TermRef TermStore::appendBlock(const TermStore &Src, TermRef Lo, TermRef Hi) {
+  if (&Src == this) {
+    std::fputs("lpa: TermStore::appendBlock from a store into itself\n",
+               stderr);
+    std::abort();
+  }
+  assert(Lo <= Hi && Hi <= Src.Cells.size() && "block out of range");
+  TermRef Base = static_cast<TermRef>(Cells.size());
+  int64_t Delta = int64_t(Base) - int64_t(Lo);
+  Cells.insert(Cells.end(), Src.Cells.begin() + Lo, Src.Cells.begin() + Hi);
+  for (size_t I = Base, E = Cells.size(); I < E; ++I) {
+    Cell &C = Cells[I];
+    if (C.Kind == TermTag::Ref || C.Kind == TermTag::Struct) {
+      assert(C.Val >= int64_t(Lo) && C.Val < int64_t(Hi) &&
+             "block is not self-contained");
+      C.Val += Delta;
+    }
+  }
+  return Base;
 }
 
 void TermStore::undoTo(Mark M) {

@@ -45,7 +45,8 @@ enum class TermTag : uint8_t {
 /// Each analysis component owns the stores it needs: the clause database
 /// keeps program clauses in one store, the solver evaluates goals in a
 /// scratch store, and every tabled subgoal keeps its answers in the table
-/// store. Terms move between stores via copyTerm().
+/// store. Terms move between stores via copyTerm() or, for self-contained
+/// cell blocks, appendBlock().
 class TermStore {
 public:
   /// An undo point capturing both trail and heap extent. After undoTo(M)
@@ -132,6 +133,16 @@ public:
     Cells[Var].Val = static_cast<int64_t>(Target);
     Trail.push_back(Var);
   }
+
+  /// Appends a copy of the cells [\p Lo, \p Hi) of \p Src and returns the
+  /// index of the copy of \p Lo: a cell R of the range lands at
+  /// R - Lo + the returned index. Ref and Struct targets are relocated the
+  /// same way, so the range must be self-contained (no reference leaves
+  /// it) -- a stored clause, or any term copyTerm() built with a fresh
+  /// renaming. This is clause instantiation without a renaming map.
+  /// \p Src must be another store (checked even in release builds):
+  /// inserting a vector's own range into itself is undefined behaviour.
+  TermRef appendBlock(const TermStore &Src, TermRef Lo, TermRef Hi);
 
   /// Captures the current trail/heap extent.
   Mark mark() const { return {Trail.size(), Cells.size()}; }

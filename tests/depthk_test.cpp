@@ -61,7 +61,7 @@ TEST_F(DomainTest, OccursCheckHolds) {
 }
 
 TEST_F(DomainTest, DepthCutGroundBecomesGamma) {
-  std::unordered_map<TermRef, TermRef> R;
+  VarRenaming R;
   // Depth 2: f(g(h(a))) cuts below g: h(a) is ground -> gamma.
   TermRef T = parse("f(g(h(a)))");
   TermRef Cut = Dom.depthCut(S, T, S, R);
@@ -69,21 +69,21 @@ TEST_F(DomainTest, DepthCutGroundBecomesGamma) {
 }
 
 TEST_F(DomainTest, DepthCutNonGroundBecomesVariable) {
-  std::unordered_map<TermRef, TermRef> R;
+  VarRenaming R;
   TermRef T = parse("f(g(h(X)))");
   TermRef Cut = Dom.depthCut(S, T, S, R);
   EXPECT_EQ(str(Cut), "f(g(_A))");
 }
 
 TEST_F(DomainTest, DepthCutPreservesShallowStructure) {
-  std::unordered_map<TermRef, TermRef> R;
+  VarRenaming R;
   TermRef T = parse("f(a, X, g(b))");
   TermRef Cut = Dom.depthCut(S, T, S, R);
   EXPECT_EQ(str(Cut), "f(a,_A,g(b))");
 }
 
 TEST_F(DomainTest, DepthCutSharedVariables) {
-  std::unordered_map<TermRef, TermRef> R;
+  VarRenaming R;
   TermRef T = parse("f(X, X)");
   TermRef Cut = Dom.depthCut(S, T, S, R);
   TermRef A0 = S.deref(S.arg(Cut, 0));

@@ -9,6 +9,7 @@
 #include "reader/Parser.h"
 #include "term/TermCopy.h"
 #include "term/TermWriter.h"
+#include "term/Variant.h"
 
 #include <gtest/gtest.h>
 
@@ -47,6 +48,44 @@ protected:
   Database DB;
   Solver S;
 };
+
+TEST_F(EngineTest, ClauseTemplatesAreSelfContainedAndMatchRenaming) {
+  // Facts, rules, 'true' conjuncts, nested conjunctions, a metacall goal
+  // and head-only/body-only variables. Each template must reference only
+  // its own cells (the trailing ':-'/',' wrappers are cut off), and its
+  // instance must equal the head and goals renamed through one map.
+  consult(R"(
+    f(a, X, g(X)).
+    r(X, Y) :- p(X, Z), q(Z, Y), true.
+    s(X) :- (t(X), u(X, W)), v(W, Y, [Y|_]).
+    m(G) :- call(G), G.
+    t :- true.
+  )");
+  const TermStore &CS = DB.store();
+  for (PredKey K : DB.predicates())
+    for (const Clause &C : DB.lookup(K)->Clauses) {
+      for (TermRef I = C.Lo; I < C.Hi; ++I) {
+        if (CS.tag(I) == TermTag::Ref) {
+          EXPECT_TRUE(CS.deref(I) >= C.Lo && CS.deref(I) < C.Hi);
+        } else if (CS.tag(I) == TermTag::Struct) {
+          EXPECT_LT(CS.arg(I, CS.arity(I) - 1), C.Hi);
+        }
+      }
+      TermStore Inst, Old;
+      TermRef Delta = DB.instantiate(C, Inst);
+      VarRenaming R;
+      std::vector<TermRef> InstParts{C.Head + Delta},
+          OldParts{copyTerm(CS, C.Head, Old, R)};
+      for (TermRef G : C.Body) {
+        InstParts.push_back(G + Delta);
+        OldParts.push_back(copyTerm(CS, G, Old, R));
+      }
+      TermRef InstAll = Inst.mkStruct(Syms.intern("$c"), InstParts);
+      TermRef OldAll = Old.mkStruct(Syms.intern("$c"), OldParts);
+      EXPECT_EQ(canonicalKey(Inst, InstAll), canonicalKey(Old, OldAll))
+          << Syms.name(K.Sym) << "/" << K.Arity;
+    }
+}
 
 TEST_F(EngineTest, FactsSucceed) {
   consult("p(a). p(b).");

@@ -383,6 +383,55 @@ TEST(WarmColdIdentityTest, MutationSequenceMatchesColdSolverOnFinalProgram) {
   }
 }
 
+// Clause templates across edits: rule clauses consulted into a warm
+// session are instantiated from their own cell blocks, and a retracted
+// clause's block, still in the clause store, is never reached again.
+TEST(WarmColdIdentityTest, ConsultRetractConsultUsesCurrentClauses) {
+  const char *Goals[] = {"path(a, X)", "path(X, Y)", "two(X, Y)"};
+  AnalysisSession Warm;
+  ASSERT_TRUE(Warm.consult(":- table path/2.\n"
+                           "path(X, Y) :- edge(X, Y).\n"
+                           "path(X, Y) :- edge(X, Z), path(Z, Y).\n"
+                           "two(X, Y) :- edge(X, Z), edge(Z, Y).\n"
+                           "edge(a, b). edge(b, c).\n")
+                  .hasValue());
+  for (const char *G : Goals)
+    answersOf(Warm, G);
+  ASSERT_TRUE(Warm.consult("path(X, Y) :- hop(X, Y).\n"
+                           "two(X, Y) :- edge(X, Z), hop(Z, Y).\n"
+                           "hop(c, d).\n")
+                  .hasValue());
+  for (const char *G : Goals)
+    answersOf(Warm, G);
+  auto R1 = Warm.retract("path(X, Y) :- edge(X, Z), path(Z, Y).");
+  ASSERT_TRUE(R1.hasValue());
+  EXPECT_EQ(R1->Loaded, 1u);
+  auto R2 = Warm.retract("two(X, Y) :- edge(X, Z), edge(Z, Y).");
+  ASSERT_TRUE(R2.hasValue());
+  EXPECT_EQ(R2->Loaded, 1u);
+  for (const char *G : Goals)
+    answersOf(Warm, G);
+  ASSERT_TRUE(Warm.consult("path(X, Y) :- path(X, Z), hop(Z, Y).\n"
+                           "hop(d, e). edge(c, a).\n")
+                  .hasValue());
+
+  AnalysisSession Cold;
+  ASSERT_TRUE(Cold.consult(":- table path/2.\n"
+                           "path(X, Y) :- edge(X, Y).\n"
+                           "path(X, Y) :- hop(X, Y).\n"
+                           "path(X, Y) :- path(X, Z), hop(Z, Y).\n"
+                           "two(X, Y) :- edge(X, Z), hop(Z, Y).\n"
+                           "edge(a, b). edge(b, c). edge(c, a).\n"
+                           "hop(c, d). hop(d, e).\n")
+                  .hasValue());
+  for (const char *G : Goals) {
+    std::vector<std::string> ColdAnswers = answersOf(Cold, G);
+    EXPECT_FALSE(ColdAnswers.empty()) << G;
+    EXPECT_EQ(answersOf(Warm, G), ColdAnswers) << "warm/cold divergence on "
+                                               << G;
+  }
+}
+
 // The parallel-prime path: workers publish tables into the shared space,
 // the lead imports them; a retract must retire the shared copies too, and
 // the re-primed results must match a cold run on the final program.

@@ -292,6 +292,40 @@ TEST_F(TablingTest, NestedTabledCallsOnLegacyStringPath) {
   EXPECT_EQ(Legacy.solve(*Again, nullptr), Sols.size());
 }
 
+TEST_F(TablingTest, SupplementaryGoalSeesLiveVariableBoundFurther) {
+  // The supplementary frontier rebuilds goal J from a fresh clause instance
+  // whose live variables are bound to the state's arguments. L stays live
+  // across every goal and gains structure at each: q/1 binds it to
+  // f(A, B), r/1 binds A, s/1 binds B. M first occurs in a later goal and
+  // is bound there, then read by the last goal.
+  consult(R"(
+    :- table t/2.
+    q(f(_, _)).
+    r(f(a, _)). r(f(b, _)).
+    s(f(b, c)). s(f(a, d)). s(f(b, d)). s(f(c, c)).
+    w(f(_, c), one). w(f(a, _), two).
+    t(L, M) :- q(L), r(L), w(L, M), s(L).
+  )");
+  std::set<std::string> Expected{"t(f(a,d),two)", "t(f(b,c),one)"};
+  for (bool Supplementary : {true, false})
+    for (bool UseTrieTables : {true, false}) {
+      SCOPED_TRACE(std::string(Supplementary ? "supp" : "sld") +
+                   (UseTrieTables ? " trie" : " str"));
+      Solver::Options Opts;
+      Opts.SupplementaryTabling = Supplementary;
+      Opts.UseTrieTables = UseTrieTables;
+      Solver Fresh(DB, Opts);
+      auto Goal = Parser::parseTerm(Syms, Fresh.store(), "t(L, M)");
+      ASSERT_TRUE(Goal.hasValue());
+      std::set<std::string> Sols;
+      Fresh.solve(*Goal, [&]() {
+        Sols.insert(TermWriter::toString(Syms, Fresh.storeConst(), *Goal));
+        return false;
+      });
+      EXPECT_EQ(Sols, Expected);
+    }
+}
+
 TEST_F(TablingTest, ResetStatsLeavesTableAccountingIntact) {
   // resetStats() zeroes the run counters — including FrontierBytesFreed,
   // which feeds the "frontier_bytes_freed" metric — but tableSpaceBytes()

@@ -10,8 +10,10 @@
 #include "term/TermStore.h"
 #include "term/TermWriter.h"
 #include "term/Unify.h"
+#include "term/Variant.h"
 
 #include <algorithm>
+#include <random>
 
 #include <gtest/gtest.h>
 
@@ -248,6 +250,217 @@ TEST(TermCopy, TermSizeCountsCells) {
   TermRef F = S.mkStruct2(Syms.intern("f"), A, S.mkInt(1));
   // Struct cell + 2 arg slots + atom + int.
   EXPECT_EQ(termSizeCells(S, F), 5u);
+}
+
+TEST(TermCopy, SharedSubtermsStayShared) {
+  // X bound to g(a): both occurrences of X reach one struct cell, and the
+  // copy keeps that sharing (table bytes depend on it).
+  SymbolTable Syms;
+  TermStore Src, Dst;
+  TermRef V = Src.mkVar();
+  TermRef F = Src.mkStruct2(Syms.intern("f"), V, V);
+  TermRef A = Src.mkAtom(Syms.intern("a"));
+  Src.bind(V, Src.mkStruct(Syms.intern("g"), std::span<const TermRef>(&A, 1)));
+  TermRef C = copyTerm(Src, F, Dst);
+  EXPECT_EQ(Dst.deref(Dst.arg(C, 0)), Dst.deref(Dst.arg(C, 1)));
+  EXPECT_EQ(TermWriter::toString(Syms, Dst, C), "f(g(a),g(a))");
+}
+
+TEST(VarRenaming, SmallAndIndexedLookupsAgree) {
+  VarRenaming R;
+  for (TermRef V = 0; V < 1000; ++V) {
+    R.insert(V * 7, V + 1);
+    // Past the linear-scan size every entry must stay reachable.
+    ASSERT_EQ(R.find(V * 7), V + 1);
+    ASSERT_EQ(R.find(V * 7 + 1), InvalidTerm);
+  }
+  for (TermRef V = 0; V < 1000; ++V)
+    EXPECT_EQ(R.find(V * 7), V + 1);
+  EXPECT_EQ(R.size(), 1000u);
+  R.clear();
+  EXPECT_EQ(R.find(7), InvalidTerm);
+  EXPECT_EQ(R.findOrInsert(7, [] { return TermRef(42); }), 42u);
+  EXPECT_EQ(R.findOrInsert(7, [] { return TermRef(43); }), 42u);
+  EXPECT_EQ(R.size(), 1u);
+}
+
+/// Random clause terms for the template property test. Variables come from
+/// a small pool shared by head and body (repeats and head/body sharing)
+/// plus a body-only pool; Ground mode uses no variables at all.
+class ClauseGen {
+public:
+  ClauseGen(SymbolTable &Syms, TermStore &S, uint32_t Seed, bool Ground)
+      : Syms(Syms), S(S), Rng(Seed), Ground(Ground) {
+    for (int I = 0; I < 3; ++I) {
+      Shared.push_back(S.mkVar());
+      BodyOnly.push_back(S.mkVar());
+    }
+  }
+
+  /// h(...) :- g1(...), g2(...), ... as a ':-'/2 term.
+  TermRef clause() {
+    TermRef Head = goal("h", /*InBody=*/false);
+    TermRef Body = goal("g", true);
+    for (unsigned I = 1 + Rng() % 3; I-- > 0;)
+      Body = S.mkStruct2(Syms.Comma, goal("g", true), Body);
+    return S.mkStruct2(Syms.Neck, Head, Body);
+  }
+
+private:
+  TermRef goal(const char *Name, bool InBody) {
+    std::vector<TermRef> Args;
+    for (unsigned I = 1 + Rng() % 3; I-- > 0;)
+      Args.push_back(term(InBody, 3));
+    return S.mkStruct(Syms.intern(Name), Args);
+  }
+
+  TermRef term(bool InBody, unsigned Depth) {
+    switch (Rng() % (Depth ? 5 : 3)) {
+    case 0:
+      if (!Ground) {
+        const std::vector<TermRef> &Pool =
+            InBody && Rng() % 2 ? BodyOnly : Shared;
+        return Pool[Rng() % Pool.size()];
+      }
+      [[fallthrough]];
+    case 1:
+      return S.mkAtom(Syms.intern(std::string(1, char('a' + Rng() % 4))));
+    case 2:
+      return S.mkInt(int64_t(Rng() % 100) - 50);
+    default: {
+      std::vector<TermRef> Args;
+      for (unsigned I = 1 + Rng() % 3; I-- > 0;)
+        Args.push_back(term(InBody, Depth - 1));
+      return S.mkStruct(Syms.intern("f"), Args);
+    }
+    }
+  }
+
+  SymbolTable &Syms;
+  TermStore &S;
+  std::mt19937 Rng;
+  bool Ground;
+  std::vector<TermRef> Shared, BodyOnly;
+};
+
+/// For each variable of \p Body (first-occurrence order), its index among
+/// \p Head's variables, or -1 if it is body-only.
+std::vector<int> headBodySharing(const TermStore &S, TermRef Head,
+                                 TermRef Body) {
+  std::vector<TermRef> HV, BV;
+  collectFreeVars(S, Head, HV);
+  collectFreeVars(S, Body, BV);
+  std::vector<int> Out;
+  for (TermRef V : BV) {
+    auto It = std::find(HV.begin(), HV.end(), V);
+    Out.push_back(It == HV.end() ? -1 : int(It - HV.begin()));
+  }
+  return Out;
+}
+
+/// Cell-by-cell equality of two stores (same cells in the same order).
+void expectSameCells(const TermStore &X, const TermStore &Y) {
+  ASSERT_EQ(X.size(), Y.size());
+  for (TermRef I = 0; I < X.size(); ++I) {
+    ASSERT_EQ(X.tag(I), Y.tag(I)) << "cell " << I;
+    switch (X.tag(I)) {
+    case TermTag::Ref:
+      ASSERT_EQ(X.deref(I), Y.deref(I)) << "cell " << I;
+      break;
+    case TermTag::Atom:
+      ASSERT_EQ(X.symbol(I), Y.symbol(I)) << "cell " << I;
+      break;
+    case TermTag::Int:
+      ASSERT_EQ(X.intValue(I), Y.intValue(I)) << "cell " << I;
+      break;
+    case TermTag::Struct:
+      ASSERT_EQ(X.symbol(I), Y.symbol(I)) << "cell " << I;
+      ASSERT_EQ(X.arity(I), Y.arity(I)) << "cell " << I;
+      ASSERT_EQ(X.arg(I, 0), Y.arg(I, 0)) << "cell " << I;
+      break;
+    }
+  }
+}
+
+/// Stores \p Clause of \p Src as a template (one fresh-renaming copyTerm
+/// into a database store behind some unrelated cells), then checks that
+/// instantiating it with appendBlock gives the same clause as the renaming
+/// path -- head and body copied separately through one shared renaming --
+/// and the same cells as a fresh copyTerm of the stored clause.
+void checkTemplate(SymbolTable &Syms, const TermStore &Src, TermRef Clause) {
+  TermStore DB;
+  DB.mkAtom(Syms.intern("junk"));
+  DB.mkVar();
+  TermRef Lo = static_cast<TermRef>(DB.size());
+  TermRef Root = copyTerm(Src, Clause, DB);
+  TermRef Hi = static_cast<TermRef>(DB.size());
+  ASSERT_EQ(copiedBlockStart(DB, Root), Lo);
+  ASSERT_EQ(Hi, Root + DB.arity(Root) + 1);
+  TermRef Head = DB.deref(DB.arg(Root, 0));
+  TermRef Body = DB.deref(DB.arg(Root, 1));
+
+  // Template path, into a heap that already holds other cells.
+  TermStore Heap;
+  Heap.mkVar();
+  TermRef Delta = Heap.appendBlock(DB, Lo, Hi) - Lo;
+  // Renaming path.
+  TermStore Old;
+  Old.mkVar();
+  VarRenaming R;
+  TermRef OldHead = copyTerm(DB, Head, Old, R);
+  TermRef OldBody = copyTerm(DB, Body, Old, R);
+
+  EXPECT_EQ(canonicalKey(Heap, Head + Delta), canonicalKey(Old, OldHead));
+  EXPECT_EQ(canonicalKey(Heap, Body + Delta), canonicalKey(Old, OldBody));
+  EXPECT_EQ(canonicalKey(Heap, Root + Delta), canonicalKey(Src, Clause));
+  EXPECT_EQ(headBodySharing(Heap, Head + Delta, Body + Delta),
+            headBodySharing(Old, OldHead, OldBody));
+  // The instance's variables are cells of its own block.
+  std::vector<TermRef> Vars;
+  collectFreeVars(Heap, Root + Delta, Vars);
+  for (TermRef V : Vars)
+    EXPECT_GE(V, Lo + Delta);
+
+  // Same cells in the same order as re-copying the stored clause.
+  TermStore ByBlock, ByCopy;
+  ByBlock.appendBlock(DB, Lo, Hi);
+  copyTerm(DB, Root, ByCopy);
+  expectSameCells(ByBlock, ByCopy);
+}
+
+TEST(ClauseTemplate, AppendBlockMatchesRenamingCopy) {
+  for (uint32_t Seed = 1; Seed <= 300; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    SymbolTable Syms;
+    TermStore Src;
+    ClauseGen Gen(Syms, Src, Seed, /*Ground=*/Seed % 5 == 0);
+    checkTemplate(Syms, Src, Gen.clause());
+    if (HasFatalFailure())
+      return;
+  }
+}
+
+TEST(ClauseTemplate, HundredThousandElementListIsIterative) {
+  SymbolTable Syms;
+  TermStore Src;
+  TermRef X = Src.mkVar(), Y = Src.mkVar();
+  std::vector<TermRef> Elems;
+  for (int I = 0; I < 100000; ++I)
+    Elems.push_back(I % 3 == 0 ? X : I % 3 == 1 ? Src.mkInt(I) : Y);
+  TermRef List = Src.mkList(Syms, Elems);
+  TermRef Head = Src.mkStruct(Syms.intern("big"),
+                              std::span<const TermRef>(&List, 1));
+  TermRef Body = Src.mkStruct(Syms.intern("p"), std::span<const TermRef>(&X, 1));
+  checkTemplate(Syms, Src, Src.mkStruct2(Syms.Neck, Head, Body));
+}
+
+TEST(ClauseTemplateDeathTest, AppendBlockRejectsItsOwnStore) {
+  SymbolTable Syms;
+  TermStore S;
+  TermRef A = S.mkAtom(Syms.intern("a"));
+  S.mkStruct(Syms.intern("f"), std::span<const TermRef>(&A, 1));
+  EXPECT_DEATH(S.appendBlock(S, 0, static_cast<TermRef>(S.size())),
+               "into itself");
 }
 
 } // namespace
