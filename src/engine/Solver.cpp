@@ -260,15 +260,7 @@ TermRef Solver::answerInstance(const Subgoal &SG, size_t I,
 }
 
 size_t ClauseFrontier::memoryBytes() const {
-  size_t Bytes = Store.memoryBytes() + sizeof(ClauseFrontier);
-  for (const auto &L : Levels)
-    Bytes += L.capacity() * sizeof(TermRef);
-  for (const auto &KS : Keys)
-    for (const auto &K : KS)
-      Bytes += K.capacity() + sizeof(void *) * 2;
-  for (const auto &T : LevelTries)
-    if (T)
-      Bytes += sizeof(TermTrie) + T->memoryBytes();
+  size_t Bytes = Levels.memoryBytes() + sizeof(ClauseFrontier);
   for (const auto &L : Origins) {
     Bytes += L.capacity() * sizeof(StateOrigin);
     for (const StateOrigin &O : L)
@@ -1363,10 +1355,7 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
   if (SG.Frontiers.size() < NumClauses)
     SG.Frontiers.resize(NumClauses);
   if (!SG.Frontiers[ClauseIdx]) {
-    SG.Frontiers[ClauseIdx] = std::make_unique<ClauseFrontier>();
-    SG.Frontiers[ClauseIdx]->Levels.resize(NumGoals + 1);
-    SG.Frontiers[ClauseIdx]->Keys.resize(NumGoals + 1);
-    SG.Frontiers[ClauseIdx]->LevelTries.resize(NumGoals + 1);
+    SG.Frontiers[ClauseIdx] = std::make_unique<ClauseFrontier>(NumGoals);
     if (Prov)
       SG.Frontiers[ClauseIdx]->Origins.resize(NumGoals + 1);
   }
@@ -1378,7 +1367,7 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
   // seed counts as new on the first run (facts must record answers).
   size_t OldBase = OldCountStack.size();
   for (size_t J = 0; J <= NumGoals; ++J)
-    OldCountStack.push_back(CF.Levels[J].size());
+    OldCountStack.push_back(CF.Levels.size(J));
 
   if (!CF.Initialized) {
     CF.Initialized = true;
@@ -1397,18 +1386,8 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
     for (const Clause::BodyVar &B : C.BodyVars)
       StateArgScratch.push_back(B.Cell + Delta); // All live at goal 0.
     TermRef State = Heap.mkStruct(StateSym, StateArgScratch);
-    if (Opts.UseTrieTables) {
-      if (!CF.LevelTries[0])
-        CF.LevelTries[0] = std::make_unique<TermTrie>();
-      TermTrie::InsertResult R = CF.LevelTries[0]->insert(Heap, State, 0);
-      Stats.TrieNodesCreated += R.NodesCreated;
-      ++Stats.TrieMisses; // The seed is always the level's first state.
-    } else {
-      KeyScratch.clear();
-      appendCanonicalKey(Heap, State, KeyScratch);
-      CF.Keys[0].insert(KeyScratch);
-    }
-    CF.Levels[0].push_back(copyTerm(Heap, State, CF.Store));
+    CF.Levels.insert(0, Heap, State);
+    ++Stats.TrieMisses; // The seed is always the level's first state.
     if (Prov)
       CF.Origins[0].push_back({}); // Seed: no predecessor, no premises.
     Heap.undoTo(M);
@@ -1447,13 +1426,13 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
     // Levels[J] does not grow while processing level J (solutions land in
     // J+1), so the plain loop bound is safe.
     size_t OldCount = OldCountStack[OldBase + J];
-    for (size_t Idx = 0; Idx < CF.Levels[J].size(); ++Idx) {
+    for (size_t Idx = 0; Idx < CF.Levels.size(J); ++Idx) {
       bool IsOld = Idx < OldCount;
       uint64_t MinSeq = IsOld ? PrevWatermark : 0;
       if (IsOld && Policy == OldPolicy::Skip)
         continue;
       auto M = Heap.mark();
-      TermRef Live = restoreState(CF, CF.Levels[J][Idx]);
+      TermRef Live = CF.Levels.decode(J, Idx, Heap);
       // Rebuild goal J from a fresh clause instance whose live variables
       // are bound to this state's arguments (trailed; undone with M).
       TermRef Delta = DB.instantiate(C, Heap);
@@ -1478,30 +1457,17 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
             StateArgScratch.push_back(Heap.arg(Live, Slot));
         }
         TermRef Next = Heap.mkStruct(StateSym, StateArgScratch);
-        bool IsNew;
-        if (Opts.UseTrieTables) {
-          // Fused check/insert: one walk of the state term.
-          if (!CF.LevelTries[J + 1])
-            CF.LevelTries[J + 1] = std::make_unique<TermTrie>();
-          TermTrie::InsertResult R = CF.LevelTries[J + 1]->insert(
-              Heap, Next, static_cast<uint32_t>(CF.Levels[J + 1].size()));
-          Stats.TrieNodesCreated += R.NodesCreated;
-          IsNew = R.Inserted;
-          IsNew ? ++Stats.TrieMisses : ++Stats.TrieHits;
-        } else {
-          // Probe key built in the reused member scratch buffer; the set
-          // copies it only when the state is actually new.
-          KeyScratch.clear();
-          appendCanonicalKey(Heap, Next, KeyScratch);
-          IsNew = CF.Keys[J + 1].insert(KeyScratch).second;
-        }
-        if (IsNew) {
-          CF.Levels[J + 1].push_back(copyTerm(Heap, Next, CF.Store));
+        // Fused check/insert: one encoding of the state is both the probe
+        // and, when new, the stored state.
+        if (CF.Levels.insert(J + 1, Heap, Next).Inserted) {
+          ++Stats.TrieMisses;
           if (Prov)
             CF.Origins[J + 1].push_back(
                 {static_cast<uint32_t>(Idx),
                  std::vector<ProvPremise>(PremiseStack.begin() + StepBase,
                                           PremiseStack.end())});
+        } else {
+          ++Stats.TrieHits;
         }
         Heap.undoTo(M2);
       });
@@ -1511,9 +1477,9 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
 
   // New final states become answers (old ones were recorded previously).
   for (size_t Idx = OldCountStack[OldBase + NumGoals];
-       Idx < CF.Levels[NumGoals].size(); ++Idx) {
+       Idx < CF.Levels.size(NumGoals); ++Idx) {
     auto M = Heap.mark();
-    TermRef Live = restoreState(CF, CF.Levels[NumGoals][Idx]);
+    TermRef Live = CF.Levels.decode(NumGoals, Idx, Heap);
     if (Prov) {
       // The final state's premise list is distributed along its Origin
       // chain; materialize it (in body-goal order) and hand it to
@@ -1530,14 +1496,6 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
     Heap.undoTo(M);
   }
   OldCountStack.resize(OldBase);
-}
-
-TermRef Solver::restoreState(const ClauseFrontier &CF, TermRef Root) {
-  // Each state was frozen by one fresh-renaming copyTerm, so it is a
-  // self-contained block of CF.Store ending with the root's argument slots.
-  TermRef Lo = copiedBlockStart(CF.Store, Root);
-  TermRef Hi = Root + CF.Store.arity(Root) + 1;
-  return Heap.appendBlock(CF.Store, Lo, Hi) + (Root - Lo);
 }
 
 void Solver::collectFrontierPremises(const ClauseFrontier &CF, size_t Level,

@@ -42,6 +42,7 @@
 #include "table/DependencyIndex.h"
 #include "table/SharedTables.h"
 #include "table/TermTrie.h"
+#include "table/VariantCode.h"
 #include "term/TermCopy.h"
 #include "term/TermStore.h"
 
@@ -92,11 +93,16 @@ struct EvalStats {
   /// Clause resolutions avoided by the first-argument index (candidate
   /// clauses skipped because their FirstArgKey cannot match the call).
   uint64_t ClauseIndexFiltered = 0;
-  /// \name Trie-table counters (Options::UseTrieTables).
+  /// \name Variant-dedup counters.
   /// @{
-  uint64_t TrieHits = 0;   ///< Trie walks that found an existing key.
-  uint64_t TrieMisses = 0; ///< Trie walks that inserted a new key.
-  uint64_t TrieNodesCreated = 0; ///< Trie nodes allocated, cumulative.
+  /// Dedup probes that found an existing variant, and probes that inserted
+  /// a new one: subgoal and answer tries (Options::UseTrieTables) and, in
+  /// both table modes, every supplementary-frontier level.
+  uint64_t TrieHits = 0;
+  uint64_t TrieMisses = 0;
+  /// Subgoal- and answer-trie nodes allocated, cumulative (frontier levels
+  /// store flat variant codes, not trie nodes).
+  uint64_t TrieNodesCreated = 0;
   /// @}
   /// Bytes of supplementary-table state released when SCCs completed
   /// (frontier stores, dedup structures). tableSpaceBytes() excludes this
@@ -190,21 +196,18 @@ struct TableWatermarks {
 /// Levels[j] holds the states with the first j body goals solved; a
 /// producer re-run pushes only *new* answers through these frontiers.
 struct ClauseFrontier {
-  TermStore Store;
-  /// Levels[j]: states with the first j body goals solved. A state is
+  explicit ClauseFrontier(size_t NumGoals) : Levels(NumGoals + 1) {}
+
+  /// Level j: states with the first j body goals solved. A state is
   /// $state(Call, V...) carrying the call instance plus the bindings of
   /// exactly the clause variables still *live* (occurring in a goal >= j,
   /// see Clause::BodyVars); goals themselves are rebuilt from the clause
   /// template, so states stay small and dead bindings do not defeat
   /// deduplication.
-  /// Each state is frozen by one fresh-renaming copyTerm, so it is a
-  /// self-contained block of Store; the entry is its root cell.
-  std::vector<std::vector<TermRef>> Levels;
-  /// Per-level dedup, string keys (legacy path, UseTrieTables off).
-  std::vector<std::unordered_set<std::string>> Keys;
-  /// Per-level dedup, term tries (UseTrieTables on). Allocated lazily per
-  /// level on first insert.
-  std::vector<std::unique_ptr<TermTrie>> LevelTries;
+  /// Each state is stored once, as its variant code: the code is both the
+  /// dedup key and what a frontier pass decodes back into the heap, with
+  /// fresh variables, to resume the state.
+  VariantCodeStore Levels;
   uint64_t Watermark = 0; ///< Global answer seq at the previous run's start.
   bool Initialized = false;
   bool HeadFailed = false;
@@ -329,13 +332,14 @@ public:
     /// suggested optimization). Off = plain tuple-at-a-time re-runs (the
     /// ablation the benches report).
     bool SupplementaryTabling = true;
-    /// Back the subgoal table, per-subgoal answer tables and frontier
-    /// dedup sets with term tries plus substitution factoring (XSB's
-    /// table representation) instead of canonical string keys. One walk
-    /// of the call performs lookup and insert; answers store only the
-    /// bindings of the call's free variables. Off = the legacy
-    /// string-keyed tables (the A/B ablation the benches report). Both
-    /// paths compute identical answers.
+    /// Back the subgoal table and per-subgoal answer tables with term
+    /// tries plus substitution factoring (XSB's table representation)
+    /// instead of canonical string keys. One walk of the call performs
+    /// lookup and insert; answers store only the bindings of the call's
+    /// free variables. Off = the legacy string-keyed tables (the A/B
+    /// ablation the benches report). Both paths compute identical answers.
+    /// Supplementary frontiers do not depend on it: they always store
+    /// variant codes (ClauseFrontier).
     bool UseTrieTables = defaultUseTrieTables();
     /// Record, for every unique answer, which clause produced it and which
     /// premise answers — (subgoal, answer-index) pairs — its derivation
@@ -743,10 +747,6 @@ private:
   /// re-runs cost only the propagation of new answers; impure bodies fall
   /// back to tuple-at-a-time SLD.
   bool runProducer(Subgoal &SG);
-
-  /// Copies the frozen state rooted at \p Root in \p CF.Store back into
-  /// the heap (one appendBlock). \returns the copy of the root.
-  TermRef restoreState(const ClauseFrontier &CF, TermRef Root);
 
   /// Semi-naive evaluation of pure clause \p C (index \p ClauseIdx in its
   /// predicate) for \p SG, through the subgoal's ClauseFrontier.

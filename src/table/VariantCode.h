@@ -1,0 +1,114 @@
+//===- VariantCode.h - Flat variant codes and leveled code sets -*- C++ -*-===//
+//
+// Part of the lpa project: a reproduction of "Practical Program Analysis
+// Using General Purpose Logic Programming Systems" (PLDI 1996).
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// A variant code is a term flattened to a word string: the same preorder
+/// token sequence a TermTrie path spells and canonicalKey() encodes, with
+/// variables numbered by first occurrence, so two terms have equal codes
+/// iff they are variants. One 64-bit word per token; an integer takes a
+/// second word for its value:
+///
+///   Var(n)            n << 2 | 0
+///   Atom(sym)       sym << 2 | 1
+///   Int(v)                   2, then v
+///   Struct(sym, n)    n << 34 | sym << 2 | 3     (arity below 2^30)
+///
+/// The code is complete: decodeVariantCode() rebuilds a variant of the
+/// term in any store with fresh variables. Bindings are resolved while
+/// encoding and subterm sharing is not recorded, so the decoded term is
+/// the resolved term as a tree.
+///
+/// VariantCodeStore keeps such codes deduplicated in numbered levels: the
+/// states of a supplementary frontier (DESIGN.md §19), stored once each.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef LPA_TABLE_VARIANTCODE_H
+#define LPA_TABLE_VARIANTCODE_H
+
+#include "term/TermStore.h"
+
+#include <cstdint>
+#include <span>
+#include <vector>
+
+namespace lpa {
+
+/// Appends the variant code of \p T to \p Out. Iterative, so deep terms
+/// (long lists) need no native stack; per-thread scratch makes it
+/// allocation-free once warm.
+void appendVariantCode(const TermStore &Store, TermRef T,
+                       std::vector<uint64_t> &Out);
+
+/// Builds the term spelled by \p Code (one complete code) in \p Dst with
+/// fresh variables and \returns its root. Iterative, like the encoder.
+TermRef decodeVariantCode(std::span<const uint64_t> Code, TermStore &Dst);
+
+/// Sets of variant codes in numbered levels that share one word arena. A
+/// level keeps one span per code, in insertion order, plus an
+/// open-addressing hash index over them once it outgrows a linear scan.
+/// Codes are never removed; the whole store is dropped at once.
+class VariantCodeStore {
+public:
+  struct InsertResult {
+    uint32_t Index; ///< Position of the code in its level.
+    bool Inserted;  ///< False if a variant was already in the level.
+  };
+
+  explicit VariantCodeStore(size_t NumLevels) : Levels(NumLevels) {}
+
+  /// Fused check/insert of \p T into \p Level: encodes it into the arena's
+  /// tail, probes the level, and truncates the tail again on a hit.
+  InsertResult insert(size_t Level, const TermStore &Store, TermRef T);
+
+  /// Number of codes in \p Level.
+  size_t size(size_t Level) const { return Levels[Level].Spans.size(); }
+
+  /// The code at \p Index of \p Level.
+  std::span<const uint64_t> code(size_t Level, size_t Index) const {
+    const Span &S = Levels[Level].Spans[Index];
+    return {Arena.data() + S.Off, S.Len};
+  }
+
+  /// decodeVariantCode() of the code at \p Index of \p Level.
+  TermRef decode(size_t Level, size_t Index, TermStore &Dst) const {
+    return decodeVariantCode(code(Level, Index), Dst);
+  }
+
+  /// Bytes held by the arena, spans and indexes.
+  size_t memoryBytes() const;
+
+private:
+  /// Levels up to this many codes are probed by a linear scan of spans.
+  static constexpr size_t SmallLimit = 8;
+
+  struct Span {
+    size_t Off;
+    uint32_t Len;
+    uint32_t Hash; ///< Hash of the code; compared first.
+  };
+  struct Level {
+    std::vector<Span> Spans;
+    /// Power-of-two table of Spans positions plus one (0 = empty); empty
+    /// while Spans.size() <= SmallLimit.
+    std::vector<uint32_t> Index;
+    unsigned Shift = 64;
+  };
+
+  static size_t slot(const Level &L, uint32_t Hash) {
+    return (uint64_t(Hash) * 0x9E3779B97F4A7C15ull) >> L.Shift;
+  }
+  /// Enters Spans[I] of \p L into its index.
+  static void place(Level &L, uint32_t I);
+
+  std::vector<uint64_t> Arena;
+  std::vector<Level> Levels;
+};
+
+} // namespace lpa
+
+#endif // LPA_TABLE_VARIANTCODE_H

@@ -7,7 +7,6 @@
 
 #include "term/TermCopy.h"
 
-#include <algorithm>
 #include <span>
 
 using namespace lpa;
@@ -119,23 +118,6 @@ TermRef lpa::copyTerm(const TermStore &Src, TermRef T, TermStore &Dst) {
   VarRenaming &Fresh = Scratch.Fresh;
   Fresh.clear();
   return copyTerm(Src, T, Dst, Fresh);
-}
-
-TermRef lpa::copiedBlockStart(const TermStore &Store, TermRef Root) {
-  // In copyTerm's post-order layout every block cell below Root has a
-  // pointer from above: a value cell from the argument slot that holds it,
-  // an argument slot (via its compound cell, which sits below the slot)
-  // from the parent's slot holding that compound cell. So a downward scan
-  // from the top that tracks the lowest target seen so far reaches every
-  // cell of the block and stops exactly at its first.
-  assert(Store.tag(Root) == TermTag::Struct && "root must be compound");
-  TermRef Lo = Root;
-  for (TermRef I = Root + Store.arity(Root) + 1; I > Lo;) {
-    --I;
-    if (Store.tag(I) == TermTag::Ref)
-      Lo = std::min(Lo, Store.deref(I));
-  }
-  return Lo;
 }
 
 size_t lpa::termSizeCells(const TermStore &Store, TermRef T) {

@@ -96,19 +96,15 @@ private:
 ///
 /// The copy is built post-order into one contiguous tail of \p Dst: every
 /// compound cell follows its arguments' cells and precedes its own argument
-/// slots. With a fresh renaming the block is self-contained (see
-/// copiedBlockStart). The walk is iterative and uses per-thread scratch,
-/// so it allocates nothing once the scratch has grown.
+/// slots. With a fresh renaming the block is self-contained, so
+/// TermStore::appendBlock can relocate it (clause templates). The walk is
+/// iterative and uses per-thread scratch, so it allocates nothing once the
+/// scratch has grown.
 TermRef copyTerm(const TermStore &Src, TermRef T, TermStore &Dst,
                  VarRenaming &Renaming);
 
 /// Convenience overload with a fresh renaming.
 TermRef copyTerm(const TermStore &Src, TermRef T, TermStore &Dst);
-
-/// First cell of the block the fresh-renaming copyTerm() overload built
-/// for compound \p Root in \p Store; the block ends with Root's argument
-/// slots, at Root + 1 + arity. Found by a downward scan (see the definition).
-TermRef copiedBlockStart(const TermStore &Store, TermRef Root);
 
 /// \returns the number of cells (nodes) of the resolved term \p T, counting
 /// shared subterms once per occurrence. Used for table-space accounting.

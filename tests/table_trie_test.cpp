@@ -6,10 +6,11 @@
 // The trie contract: a root-to-leaf path is the canonical preorder
 // encoding of a term (tuple) with variables numbered in first-occurrence
 // order, so two keys land on the same leaf exactly when canonicalKey()
-// produces the same string — i.e. when the terms are variants. The
-// property test below checks that equivalence on randomized terms, and
-// the end-to-end tests check that both table representations produce
-// bit-identical analysis results.
+// produces the same string — i.e. when the terms are variants. A variant
+// code (the flat word string supplementary frontiers store) spells the
+// same tokens and must agree too. The property test below checks both
+// equivalences on randomized terms, and the end-to-end tests check that
+// both table representations produce bit-identical analysis results.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,10 +20,13 @@
 #include "term/TermWriter.h"
 #include "strictness/Strictness.h"
 #include "table/TermTrie.h"
+#include "table/VariantCode.h"
 #include "term/Variant.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <random>
 
@@ -237,11 +241,22 @@ private:
   std::vector<TermRef> Built;
 };
 
+/// The variant code of \p T as a fresh vector.
+std::vector<uint64_t> codeOf(const TermStore &S, TermRef T) {
+  std::vector<uint64_t> Code;
+  appendVariantCode(S, T, Code);
+  return Code;
+}
+
 TEST_F(TermTrieTest, PropertyTrieEqualsCanonicalKeyEquality) {
   // The central invariant: two terms reach the same trie leaf exactly
-  // when their canonical keys are equal (path equality == variance).
+  // when their canonical keys are equal (path equality == variance). The
+  // same holds for equal variant codes and for VariantCodeStore hits, and
+  // a code decodes to a variant of its term.
   RandomTermGen Gen(Syms, S, /*Seed=*/0xC0FFEE);
   std::map<std::string, uint32_t> FirstByKey;
+  std::map<std::vector<uint64_t>, uint32_t> FirstByCode;
+  VariantCodeStore Codes(/*NumLevels=*/1);
   uint32_t NextValue = 0;
   for (int I = 0; I < 500; ++I) {
     TermRef T = Gen.gen(/*Depth=*/3);
@@ -251,13 +266,106 @@ TEST_F(TermTrieTest, PropertyTrieEqualsCanonicalKeyEquality) {
     EXPECT_EQ(R.Inserted, New) << "term " << I << " key " << Key;
     EXPECT_EQ(R.Value, It->second) << "term " << I << " key " << Key;
     EXPECT_EQ(Trie.find(S, T), It->second);
+
+    std::vector<uint64_t> Code = codeOf(S, T);
+    auto [CIt, CNew] = FirstByCode.emplace(Code, NextValue);
+    EXPECT_EQ(CNew, New) << "term " << I;
+    EXPECT_EQ(CIt->second, It->second) << "term " << I;
+    auto CR = Codes.insert(0, S, T);
+    EXPECT_EQ(CR.Inserted, New) << "term " << I;
+    EXPECT_EQ(CR.Index, It->second) << "term " << I;
+    auto Stored = Codes.code(0, CR.Index);
+    EXPECT_TRUE(std::equal(Stored.begin(), Stored.end(), Code.begin(),
+                           Code.end()));
+    TermRef Back = decodeVariantCode(Code, S);
+    EXPECT_TRUE(isVariant(S, T, Back)) << "term " << I;
+    EXPECT_EQ(codeOf(S, Back), Code) << "term " << I;
     if (New)
       ++NextValue;
   }
   EXPECT_EQ(Trie.valueCount(), FirstByKey.size());
+  EXPECT_EQ(Codes.size(0), FirstByKey.size());
   // Sanity: the workload actually produced both hits and misses.
   EXPECT_GT(FirstByKey.size(), 50u);
   EXPECT_LT(FirstByKey.size(), 500u);
+}
+
+TEST_F(TermTrieTest, VariantCodeEdgeValuesRoundTrip) {
+  // Extreme integers, symbol ids past the token's low bits, and a wide
+  // struct all survive encode -> decode -> encode unchanged.
+  SymbolId Big = (SymbolId(1) << 30) + 7, Max = ~SymbolId(0);
+  std::vector<TermRef> Args = {S.mkInt(INT64_MIN), S.mkInt(INT64_MAX),
+                               S.mkInt(-1),        S.mkAtom(Big),
+                               S.mkAtom(Max),      S.mkVar()};
+  for (uint32_t I = 0; I < 70000; ++I)
+    Args.push_back(I % 3 ? S.mkInt(I) : Args[5]);
+  TermRef Wide = S.mkStruct(Max, Args);
+  std::vector<uint64_t> Code = codeOf(S, Wide);
+  TermStore Dst;
+  TermRef Back = decodeVariantCode(Code, Dst);
+  ASSERT_EQ(Dst.tag(Back), TermTag::Struct);
+  EXPECT_EQ(Dst.symbol(Back), Max);
+  ASSERT_EQ(Dst.arity(Back), Args.size());
+  EXPECT_EQ(Dst.intValue(Dst.deref(Dst.arg(Back, 0))), INT64_MIN);
+  EXPECT_EQ(Dst.intValue(Dst.deref(Dst.arg(Back, 1))), INT64_MAX);
+  EXPECT_EQ(Dst.intValue(Dst.deref(Dst.arg(Back, 2))), -1);
+  EXPECT_EQ(Dst.symbol(Dst.deref(Dst.arg(Back, 3))), Big);
+  EXPECT_EQ(Dst.symbol(Dst.deref(Dst.arg(Back, 4))), Max);
+  EXPECT_TRUE(Dst.isUnboundVar(Dst.arg(Back, 5)));
+  EXPECT_EQ(Dst.deref(Dst.arg(Back, 6)), Dst.deref(Dst.arg(Back, 5)));
+  EXPECT_EQ(codeOf(Dst, Back), Code);
+  // An atom and an integer with the same payload stay distinct.
+  EXPECT_NE(codeOf(S, S.mkAtom(5)), codeOf(S, S.mkInt(5)));
+}
+
+TEST_F(TermTrieTest, VariantCodeOfSharedDagEqualsItsTreeCopy) {
+  // f(T, T) with T = g(X, h(X)) shared, against two separate copies of T
+  // over one variable: the same term, so the same code.
+  TermRef Shared = parse("g(X, h(X))");
+  TermRef Pair[2] = {Shared, Shared};
+  TermRef Dag = S.mkStruct(Syms.intern("f"), std::span<const TermRef>(Pair));
+  TermRef Tree = parse("f(g(Y, h(Y)), g(Y, h(Y)))");
+  EXPECT_EQ(codeOf(S, Dag), codeOf(S, Tree));
+  EXPECT_NE(codeOf(S, Dag), codeOf(S, parse("f(g(Y, h(Y)), g(Z, h(Z)))")));
+  VariantCodeStore Codes(/*NumLevels=*/2);
+  EXPECT_TRUE(Codes.insert(1, S, Dag).Inserted);
+  EXPECT_FALSE(Codes.insert(1, S, Tree).Inserted);
+  EXPECT_TRUE(Codes.insert(0, S, Tree).Inserted); // Levels are separate.
+  EXPECT_TRUE(isVariant(S, Dag, Codes.decode(1, 0, S)));
+}
+
+TEST_F(TermTrieTest, VariantCodeOfLongListIsIterative) {
+  // A 100k-element list of fresh variables: recursion would overflow the
+  // native stack, and a linear variable scan would take minutes.
+  std::vector<TermRef> Elems;
+  for (int I = 0; I < 100000; ++I)
+    Elems.push_back(S.mkVar());
+  TermRef List = S.mkList(Syms, Elems);
+  std::vector<uint64_t> Code = codeOf(S, List);
+  EXPECT_EQ(Code.size(), 2 * Elems.size() + 1);
+  TermStore Dst;
+  TermRef Back = decodeVariantCode(Code, Dst);
+  EXPECT_EQ(codeOf(Dst, Back), Code);
+  EXPECT_TRUE(Dst.isUnboundVar(Dst.arg(Back, 0)));
+}
+
+TEST_F(TermTrieTest, VariantCodeStoreIndexesLargeLevels) {
+  // Past the linear-scan limit the level switches to its hash index; every
+  // code stays findable, and a hit leaves the arena as it was.
+  VariantCodeStore Codes(/*NumLevels=*/1);
+  for (int I = 0; I < 1000; ++I)
+    EXPECT_TRUE(Codes.insert(0, S, parse(("p(X, " + std::to_string(I) +
+                                          ")").c_str()))
+                    .Inserted);
+  size_t Bytes = Codes.memoryBytes();
+  for (int I = 0; I < 1000; ++I) {
+    auto R = Codes.insert(
+        0, S, parse(("p(Y, " + std::to_string(I) + ")").c_str()));
+    EXPECT_FALSE(R.Inserted);
+    EXPECT_EQ(R.Index, static_cast<uint32_t>(I));
+  }
+  EXPECT_EQ(Codes.size(0), 1000u);
+  EXPECT_EQ(Codes.memoryBytes(), Bytes);
 }
 
 /// Runs groundness analysis with the given table representation.

@@ -326,6 +326,73 @@ TEST_F(TablingTest, SupplementaryGoalSeesLiveVariableBoundFurther) {
     }
 }
 
+TEST_F(TablingTest, FrontierDedupsVariantStatesAcrossSharing) {
+  // Both q/1 solutions project goal 0's successor state onto
+  // $state(t(Z), f(g(V), g(V)), Z): the fact builds a tree with two g/1
+  // cells, the rule one g/1 cell shared by both arguments, and every
+  // solution has fresh variables. Variant dedup must keep one state.
+  consult(R"(
+    :- table t/1.
+    mk(g(_)).
+    q(f(g(V), g(V))).
+    q(f(T, T)) :- mk(T).
+    r(f(g(_), _), ok).
+    t(Z) :- q(X), r(X, Z).
+  )");
+  for (bool UseTrieTables : {true, false}) {
+    SCOPED_TRACE(UseTrieTables ? "trie" : "string");
+    Solver::Options Opts;
+    Opts.UseTrieTables = UseTrieTables;
+    Solver Local(DB, Opts);
+    auto Goal = Parser::parseTerm(Syms, Local.store(), "t(Z)");
+    ASSERT_TRUE(Goal.hasValue());
+    EXPECT_EQ(Local.solve(*Goal, nullptr), 1u);
+    // Frontier probes: one state per level (three misses) and the second
+    // q/1 solution as the one hit. With tries on, the subgoal and its
+    // answer add one miss each.
+    const EvalStats &St = Local.stats();
+    EXPECT_EQ(St.TrieHits, 1u);
+    EXPECT_EQ(St.TrieMisses, UseTrieTables ? 5u : 3u);
+  }
+}
+
+TEST_F(TablingTest, FrontierCountsArePinnedAndIndependentOfTableMode) {
+  // Frontier levels dedup through variant codes in both table modes, so
+  // their probes and bytes match; the subgoal and answer tables add their
+  // own probes only with tries on. The trie-mode totals are pinned, so a
+  // dedup that merged non-variants or split variants would show.
+  consult(R"(
+    :- table path/2.
+    path(X, Y) :- edge(X, Y).
+    path(X, Y) :- path(X, Z), edge(Z, W), link(W, Y).
+    edge(a, b). edge(b, c). edge(c, a). edge(b, d). edge(d, a).
+    link(a, a). link(b, b). link(c, c). link(d, d). link(a, d).
+  )");
+  auto Run = [&](bool UseTrieTables) {
+    Solver::Options Opts;
+    Opts.UseTrieTables = UseTrieTables;
+    Solver Local(DB, Opts);
+    for (const char *G : {"path(a, Y)", "path(X, Y)", "path(X, X)"}) {
+      auto Goal = Parser::parseTerm(Syms, Local.store(), G);
+      EXPECT_TRUE(Goal.hasValue());
+      Local.solve(*Goal, nullptr);
+    }
+    return std::make_pair(Local.stats(), Local.watermarks());
+  };
+  auto [On, OnWater] = Run(true);
+  auto [Off, OffWater] = Run(false);
+  EXPECT_EQ(On.TrieHits, 28u);
+  EXPECT_EQ(On.TrieMisses, 135u);
+  EXPECT_EQ(On.SubgoalsCreated, Off.SubgoalsCreated);
+  EXPECT_EQ(On.AnswersRecorded, Off.AnswersRecorded);
+  EXPECT_EQ(On.TrieMisses,
+            Off.TrieMisses + On.SubgoalsCreated + On.AnswersRecorded);
+  EXPECT_EQ(On.TrieHits, Off.TrieHits + (On.TabledCalls - On.SubgoalsCreated) +
+                             On.AnswersDuplicate);
+  EXPECT_GT(OffWater.PeakSccFrontierBytes, 0u);
+  EXPECT_EQ(OnWater.PeakSccFrontierBytes, OffWater.PeakSccFrontierBytes);
+}
+
 TEST_F(TablingTest, ResetStatsLeavesTableAccountingIntact) {
   // resetStats() zeroes the run counters — including FrontierBytesFreed,
   // which feeds the "frontier_bytes_freed" metric — but tableSpaceBytes()

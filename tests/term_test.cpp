@@ -394,7 +394,6 @@ void checkTemplate(SymbolTable &Syms, const TermStore &Src, TermRef Clause) {
   TermRef Lo = static_cast<TermRef>(DB.size());
   TermRef Root = copyTerm(Src, Clause, DB);
   TermRef Hi = static_cast<TermRef>(DB.size());
-  ASSERT_EQ(copiedBlockStart(DB, Root), Lo);
   ASSERT_EQ(Hi, Root + DB.arity(Root) + 1);
   TermRef Head = DB.deref(DB.arg(Root, 0));
   TermRef Body = DB.deref(DB.arg(Root, 1));
