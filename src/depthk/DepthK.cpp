@@ -11,13 +11,13 @@
 #include "obs/Span.h"
 #include "reader/Parser.h"
 #include "support/Stopwatch.h"
+#include "table/VariantCode.h"
 #include "term/TermCopy.h"
 #include "term/TermWriter.h"
 #include "term/Variant.h"
 
 #include <algorithm>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <unordered_set>
 
@@ -47,7 +47,8 @@ class AbsInterp {
 public:
   AbsInterp(SymbolTable &Symbols, const Database &DB,
             const DepthKAnalyzer::Options &Opts)
-      : Symbols(Symbols), DB(DB), Domain(Symbols, Opts.Depth), Opts(Opts) {
+      : Symbols(Symbols), DB(DB), Domain(Symbols, Opts.Depth), Opts(Opts),
+        StateSym(Symbols.intern("$state")) {
     if (Opts.RecordProvenance)
       Prov = std::make_unique<ProvenanceArena>();
   }
@@ -146,10 +147,14 @@ private:
       enqueue(*D);
   }
 
+  /// Builds the depth-k cut of \p Pred's call \p G in Heap: the abstract
+  /// call pattern of a goal, or the answer pattern of a final state.
+  TermRef cutCall(PredKey Pred, TermRef G);
+
   /// Solves the single goal \p G in the current heap bindings; calls
   /// \p OnSolution for each (abstract) solution, bindings in place.
-  void solveGoal(Entry &Producer, TermRef G,
-                 const std::function<void()> &OnSolution);
+  template <typename Fn>
+  void solveGoal(Entry &Producer, TermRef G, const Fn &OnSolution);
 
   /// Handles one builtin goal; \p Known is false for user predicates.
   bool applyBuiltin(TermRef Goal, bool &Known);
@@ -173,6 +178,12 @@ private:
   /// extend the consuming state's premise list.
   std::unique_ptr<ProvenanceArena> Prov;
   std::optional<ProvPremise> LastPremise;
+
+  SymbolId StateSym; ///< Functor of runEntry's clause-body states.
+  /// Scratch of cutCall() and of runEntry's state building; neither
+  /// re-enters itself.
+  std::vector<TermRef> CutArgs, StateArgs;
+  VarRenaming CutRenaming;
 };
 
 AbsInterp::Entry &AbsInterp::ensureOpenEntry(PredKey Pred) {
@@ -205,15 +216,14 @@ AbsInterp::Entry &AbsInterp::ensureEntry(PredKey Pred, TermRef Call) {
   // to the open call (unless this *is* an open call being created, which
   // must go through so ensureOpenEntry cannot recurse forever).
   uint32_t &Count = CallsPerPred[keyOf(Pred)];
-  bool IsOpen = true;
-  if (Pred.Arity == 0) {
-    IsOpen = Heap.tag(Heap.deref(Call)) == TermTag::Atom;
-  } else {
-    std::unordered_set<TermRef> SeenVars;
-    for (uint32_t I = 0; I < Pred.Arity && IsOpen; ++I) {
-      TermRef A = Heap.deref(Heap.arg(Heap.deref(Call), I));
-      IsOpen = Heap.tag(A) == TermTag::Ref && SeenVars.insert(A).second;
-    }
+  // Open means distinct variables in every argument.
+  Call = Heap.deref(Call);
+  bool IsOpen = Pred.Arity > 0 || Heap.tag(Call) == TermTag::Atom;
+  for (uint32_t I = 0; I < Pred.Arity && IsOpen; ++I) {
+    TermRef A = Heap.deref(Heap.arg(Call, I));
+    IsOpen = Heap.tag(A) == TermTag::Ref;
+    for (uint32_t K = 0; K < I && IsOpen; ++K)
+      IsOpen = Heap.deref(Heap.arg(Call, K)) != A;
   }
   if (!IsOpen && Count >= Opts.MaxCallsPerPred)
     return ensureOpenEntry(Pred);
@@ -288,8 +298,19 @@ bool AbsInterp::applyBuiltin(TermRef Goal, bool &Known) {
   return false;
 }
 
-void AbsInterp::solveGoal(Entry &Producer, TermRef G,
-                          const std::function<void()> &OnSolution) {
+TermRef AbsInterp::cutCall(PredKey Pred, TermRef G) {
+  if (Pred.Arity == 0)
+    return Heap.mkAtom(Pred.Sym);
+  CutRenaming.clear();
+  CutArgs.clear();
+  for (uint32_t I = 0; I < Pred.Arity; ++I)
+    CutArgs.push_back(
+        Domain.depthCut(Heap, Heap.arg(G, I), Heap, CutRenaming));
+  return Heap.mkStruct(Pred.Sym, CutArgs);
+}
+
+template <typename Fn>
+void AbsInterp::solveGoal(Entry &Producer, TermRef G, const Fn &OnSolution) {
   G = Heap.deref(G);
 
   bool Known = false;
@@ -317,20 +338,7 @@ void AbsInterp::solveGoal(Entry &Producer, TermRef G,
   if (!DB.lookup(Pred))
     return; // Undefined predicate: fail.
 
-  TermRef CutCall;
-  {
-    VarRenaming CutRenaming;
-    if (Pred.Arity == 0) {
-      CutCall = Heap.mkAtom(Pred.Sym);
-    } else {
-      std::vector<TermRef> Args;
-      for (uint32_t I = 0; I < Pred.Arity; ++I)
-        Args.push_back(Domain.depthCut(Heap, Heap.arg(G, I), Heap,
-                                       CutRenaming));
-      CutCall = Heap.mkStruct(Pred.Sym, Args);
-    }
-  }
-  Entry &E = ensureEntry(Pred, CutCall);
+  Entry &E = ensureEntry(Pred, cutCall(Pred, G));
   if (E.DependentSet.insert(&Producer).second)
     E.Dependents.push_back(&Producer);
 
@@ -421,7 +429,6 @@ void AbsInterp::runEntry(Entry &E) {
   // single frame; the sampler still sees which predicate is being re-run.
   if (Opts.Cursor)
     Opts.Cursor->pushFrame(E.Pred.Sym, E.Pred.Arity);
-  SymbolId StateSym = Symbols.intern("$state");
 
   for (size_t ClauseIdx = 0; ClauseIdx < P->Clauses.size(); ++ClauseIdx) {
     const Clause &C = P->Clauses[ClauseIdx];
@@ -432,84 +439,75 @@ void AbsInterp::runEntry(Entry &E) {
       ++Opts.Metrics->pred(Symbols, E.Pred.Sym, E.Pred.Arity).Resolutions;
     auto M = Heap.mark();
     TermRef Call = copyTerm(Tables, E.CallTuple, Heap);
-    VarRenaming Renaming;
-    TermRef Head = copyTerm(DB.store(), C.Head, Heap, Renaming);
-    if (!Domain.unifyAbstract(Heap, Call, Head)) {
+    TermRef Delta = DB.instantiate(C, Heap);
+    if (!Domain.unifyAbstract(Heap, Call, C.Head + Delta)) {
       Heap.undoTo(M);
       continue;
     }
 
-    // Set-at-a-time evaluation (the paper's footnote on join sizes): a
-    // state is a snapshot of $state(Call, G1..Gn); after each goal the
-    // reached states are deduplicated by variant key, which caps the
-    // cross-product of answer choices at the number of distinct abstract
-    // states.
-    std::vector<TermRef> StateArgs{Call};
-    for (TermRef Gl : C.Body)
-      StateArgs.push_back(copyTerm(DB.store(), Gl, Heap, Renaming));
-    TermRef StateTerm = Heap.mkStruct(StateSym, StateArgs);
-
-    TermStore StatesA, StatesB;
-    TermStore *Cur = &StatesA, *Next = &StatesB;
-    std::vector<TermRef> CurStates{copyTerm(Heap, StateTerm, *Cur)};
-    // Premise lists travel with their state (index-parallel to CurStates):
+    // Set-at-a-time evaluation (the paper's footnote on join sizes): the
+    // states before goal J are $state(Call, body variables live at J), as
+    // in the engine's supplementary frontier (DESIGN.md §19). Each level
+    // is deduplicated by variant code, which caps the cross-product of
+    // answer choices at the number of distinct abstract states; states
+    // that differ only in dead variables have the same future and merge.
+    size_t NumGoals = C.Body.size();
+    VariantCodeStore States(NumGoals + 1);
+    StateArgs.assign(1, Call);
+    for (const Clause::BodyVar &B : C.BodyVars)
+      StateArgs.push_back(B.Cell + Delta); // All live at goal 0.
+    States.insert(0, Heap, Heap.mkStruct(StateSym, StateArgs));
+    Heap.undoTo(M);
+    // Premise lists travel with their state (index-parallel to a level):
     // each tabled resolution appends the consumed (entry, answer) pair, so
     // a surviving state knows exactly which table answers justified it.
-    std::vector<std::vector<ProvPremise>> CurProv;
+    std::vector<std::vector<ProvPremise>> CurProv, NextProv;
     if (Prov)
       CurProv.emplace_back();
-    Heap.undoTo(M);
 
-    size_t NumGoals = C.Body.size();
-    for (size_t GoalIdx = 0; GoalIdx < NumGoals && !CurStates.empty();
-         ++GoalIdx) {
-      std::vector<TermRef> NextStates;
-      std::vector<std::vector<ProvPremise>> NextProv;
-      std::unordered_set<std::string> Seen;
-      for (size_t SI = 0; SI < CurStates.size(); ++SI) {
+    for (size_t J = 0; J < NumGoals && States.size(J); ++J) {
+      NextProv.clear();
+      for (size_t SI = 0; SI < States.size(J); ++SI) {
         auto M2 = Heap.mark();
-        TermRef Live = copyTerm(*Cur, CurStates[SI], Heap);
-        TermRef Goal = Heap.arg(Live, static_cast<uint32_t>(GoalIdx + 1));
-        solveGoal(E, Goal, [&]() {
-          // canonicalKey dereferences, so the key reflects the goal's
-          // bindings without an intermediate snapshot.
-          std::string Key = canonicalKey(Heap, Live);
-          if (Seen.insert(Key).second) {
-            NextStates.push_back(copyTerm(Heap, Live, *Next));
-            if (Prov) {
-              NextProv.push_back(CurProv[SI]);
-              if (LastPremise)
-                NextProv.back().push_back(*LastPremise);
-            }
+        // Rebuild goal J from a fresh clause instance whose live variables
+        // are bound to this state's arguments.
+        TermRef Live = States.decode(J, SI, Heap);
+        TermRef Delta = DB.instantiate(C, Heap);
+        uint32_t Slot = 0;
+        for (const Clause::BodyVar &B : C.BodyVars)
+          if (B.LastGoal >= J)
+            Heap.bind(B.Cell + Delta, Heap.arg(Live, ++Slot));
+        solveGoal(E, C.Body[J] + Delta, [&]() {
+          // Project onto the variables still live after this goal.
+          auto M3 = Heap.mark();
+          StateArgs.assign(1, Heap.arg(Live, 0));
+          uint32_t Slot = 0;
+          for (const Clause::BodyVar &B : C.BodyVars) {
+            if (B.LastGoal < J)
+              continue; // Not in this state.
+            ++Slot;
+            if (B.LastGoal > J) // Still live after this goal.
+              StateArgs.push_back(Heap.arg(Live, Slot));
           }
+          TermRef Next = Heap.mkStruct(StateSym, StateArgs);
+          if (States.insert(J + 1, Heap, Next).Inserted && Prov) {
+            NextProv.push_back(CurProv[SI]);
+            if (LastPremise)
+              NextProv.back().push_back(*LastPremise);
+          }
+          Heap.undoTo(M3);
         });
         Heap.undoTo(M2);
       }
-      // Retire the consumed generation and make its store the next
-      // scratch target.
-      Cur->clear();
-      CurStates = std::move(NextStates);
-      CurProv = std::move(NextProv);
-      std::swap(Cur, Next);
+      std::swap(CurProv, NextProv);
     }
 
     // Surviving states yield answer patterns.
-    for (size_t SI = 0; SI < CurStates.size(); ++SI) {
+    for (size_t SI = 0; SI < States.size(NumGoals); ++SI) {
       auto M2 = Heap.mark();
-      TermRef Live = copyTerm(*Cur, CurStates[SI], Heap);
-      TermRef FinalCall = Heap.deref(Heap.arg(Live, 0));
-      VarRenaming CutRenaming;
-      TermRef AnsPattern;
-      if (E.Pred.Arity == 0) {
-        AnsPattern = Heap.mkAtom(E.Pred.Sym);
-      } else {
-        std::vector<TermRef> Args;
-        for (uint32_t I = 0; I < E.Pred.Arity; ++I)
-          Args.push_back(Domain.depthCut(Heap, Heap.arg(FinalCall, I), Heap,
-                                         CutRenaming));
-        AnsPattern = Heap.mkStruct(E.Pred.Sym, Args);
-      }
-      recordAnswer(E, AnsPattern, static_cast<uint32_t>(ClauseIdx),
+      TermRef Live = States.decode(NumGoals, SI, Heap);
+      recordAnswer(E, cutCall(E.Pred, Heap.deref(Heap.arg(Live, 0))),
+                   static_cast<uint32_t>(ClauseIdx),
                    Prov ? &CurProv[SI] : nullptr);
       Heap.undoTo(M2);
     }

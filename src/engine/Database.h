@@ -69,8 +69,8 @@ struct Clause {
   uint64_t FirstArgKey;      ///< 0 = matches anything.
   TermRef Lo = 0, Hi = 0;    ///< The template's cell block.
   /// The distinct body variables in first-occurrence order over the body.
-  /// A supplementary-frontier state at level J stores the bindings of the
-  /// ones live at J, in this order.
+  /// A supplementary-frontier or depth-k clause-body state at level J
+  /// stores the bindings of the ones live at J, in this order.
   std::vector<BodyVar> BodyVars;
 };
 

@@ -61,7 +61,8 @@ void FlightRecorder::record(FrEventKind K, uint64_t QueryId, uint64_t A,
   E.B = B;
   E.C = C;
   size_t N = std::min(Detail.size(), sizeof(E.Detail) - 1);
-  std::memcpy(E.Detail, Detail.data(), N);
+  if (N > 0) // An empty view's data() may be null, which memcpy forbids.
+    std::memcpy(E.Detail, Detail.data(), N);
   E.Detail[N] = '\0';
   if (K == FrEventKind::DeadlineHit || K == FrEventKind::IncompleteTable)
     Alarms.fetch_add(1, std::memory_order_relaxed);

@@ -23,7 +23,8 @@
 /// the resolved term as a tree.
 ///
 /// VariantCodeStore keeps such codes deduplicated in numbered levels: the
-/// states of a supplementary frontier (DESIGN.md §19), stored once each.
+/// states of a supplementary frontier or of a depth-k clause body
+/// (DESIGN.md §19), stored once each.
 ///
 //===----------------------------------------------------------------------===//
 

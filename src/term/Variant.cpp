@@ -7,6 +7,8 @@
 
 #include "term/Variant.h"
 
+#include "term/TermCopy.h"
+
 #include <algorithm>
 #include <cstring>
 #include <unordered_map>
@@ -65,6 +67,15 @@ bool lpa::isVariant(const TermStore &Store, TermRef A, TermRef B) {
 
 namespace {
 
+/// Scratch of one thread's appendCanonicalKey calls, which never re-enter:
+/// once warm, encoding a key allocates nothing beyond the key itself.
+struct KeyScratch {
+  std::vector<TermRef> Work;
+  VarRenaming VarNum; ///< Variable -> its first-occurrence number.
+};
+
+thread_local KeyScratch Scratch;
+
 /// Appends raw bytes of \p V to \p Out.
 template <typename T> void appendBytes(std::string &Out, T V) {
   char Buf[sizeof(T)];
@@ -76,18 +87,18 @@ template <typename T> void appendBytes(std::string &Out, T V) {
 
 void lpa::appendCanonicalKey(const TermStore &Store, TermRef T,
                              std::string &Out) {
-  std::unordered_map<TermRef, uint32_t> VarNum;
-  std::vector<TermRef> Work{T};
-  while (!Work.empty()) {
-    TermRef Cur = Store.deref(Work.back());
-    Work.pop_back();
+  KeyScratch &S = Scratch;
+  S.VarNum.clear();
+  S.Work.assign(1, T);
+  while (!S.Work.empty()) {
+    TermRef Cur = Store.deref(S.Work.back());
+    S.Work.pop_back();
     switch (Store.tag(Cur)) {
     case TermTag::Ref: {
-      auto [It, Inserted] =
-          VarNum.emplace(Cur, static_cast<uint32_t>(VarNum.size()));
+      TermRef N = S.VarNum.findOrInsert(
+          Cur, [&] { return static_cast<TermRef>(S.VarNum.size()); });
       Out.push_back('V');
-      appendBytes(Out, It->second);
-      (void)Inserted;
+      appendBytes(Out, N); // A TermRef is the uint32_t number itself.
       break;
     }
     case TermTag::Atom:
@@ -104,7 +115,7 @@ void lpa::appendCanonicalKey(const TermStore &Store, TermRef T,
       appendBytes(Out, Store.arity(Cur));
       // Reverse push for left-to-right traversal (variable numbering).
       for (uint32_t I = Store.arity(Cur); I-- > 0;)
-        Work.push_back(Store.arg(Cur, I));
+        S.Work.push_back(Store.arg(Cur, I));
       break;
     }
   }

@@ -87,6 +87,15 @@ TEST(FlightRecorderRing, DetailIsTruncatedAndTerminated) {
   EXPECT_EQ(std::string_view(E.Detail), Long.substr(0, Len));
 }
 
+TEST(FlightRecorderRing, EmptyDetailIsEmptyString) {
+  FlightRecorder R;
+  R.record(FrEventKind::QueryStart, 1, 0, 0, 0, 0, std::string_view());
+  R.record(FrEventKind::QueryEnd, 1, 0, 0, 0, 0, "");
+  ASSERT_EQ(R.events().size(), 2u);
+  for (const FrEvent &E : R.events())
+    EXPECT_EQ(std::string_view(E.Detail), "");
+}
+
 TEST(FlightRecorderRing, EventsForQuerySlices) {
   FlightRecorder R;
   R.record(FrEventKind::QueryStart, 1);
