@@ -16,7 +16,6 @@
 #ifndef LPA_BENCH_BENCHUTIL_H
 #define LPA_BENCH_BENCHUTIL_H
 
-#include "engine/Solver.h"
 #include "obs/Json.h"
 
 #include <cstdio>
@@ -113,15 +112,12 @@ inline bool writeJsonFile(const std::string &Path, const std::string &Json) {
   return true;
 }
 
-/// Stamps provenance members into the current JSON object: git revision,
-/// build type, and which table representation the run used. Every bench
-/// trajectory file carries these so A/B numbers stay attributable.
-inline void
-writeBenchMeta(JsonWriter &W,
-               bool UseTrieTables = Solver::defaultUseTrieTables()) {
+/// Stamps provenance members into the current JSON object: git revision
+/// and build type. Every bench trajectory file carries these so A/B
+/// numbers stay attributable.
+inline void writeBenchMeta(JsonWriter &W) {
   W.member("git_sha", LPA_GIT_SHA);
   W.member("build_type", LPA_BUILD_TYPE);
-  W.member("use_trie_tables", UseTrieTables);
 }
 
 /// Emits the phase timings of \p Row as members of the current object.

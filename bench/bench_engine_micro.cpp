@@ -207,68 +207,54 @@ void BM_EvalCompiled(benchmark::State &State) {
 }
 BENCHMARK(BM_EvalCompiled)->Arg(16)->Arg(30);
 
-/// A/B ablation of the table representation (Options::UseTrieTables):
-/// repeated tabled CALLS against a warm table. Arg: 1 = trie tables with
-/// substitution factoring, 0 = legacy canonical-string keys. The call
-/// carries a large ground structure, so the legacy path pays a string key
-/// per call plus a whole-instance copy + unify per answer returned, while
-/// the trie path walks the call once and binds only the answer variable.
+/// Repeated tabled CALLS against a warm table. The call carries a large
+/// ground structure: the subgoal trie walks it once per call and the
+/// factored answer binds only the answer variable.
 void BM_TabledCallMicro(benchmark::State &State) {
-  bool Prev = Solver::setDefaultUseTrieTables(State.range(0) != 0);
-  {
-    SymbolTable Syms;
-    Database DB(Syms);
-    (void)DB.consult(":- table p/2.\n p(_, done).");
-    Solver Engine(DB);
-    std::string Goal = "p([";
-    for (int I = 0; I < 64; ++I)
-      Goal += (I ? "," : "") + std::to_string(I);
-    Goal += "], R)";
-    auto G = Parser::parseTerm(Syms, Engine.store(), Goal);
-    Engine.solve(*G, nullptr); // Warm the table: later calls are hits.
-    for (auto _ : State) {
-      size_t N = Engine.solve(*G, nullptr);
-      benchmark::DoNotOptimize(N);
-    }
-    State.SetItemsProcessed(State.iterations());
+  SymbolTable Syms;
+  Database DB(Syms);
+  (void)DB.consult(":- table p/2.\n p(_, done).");
+  Solver Engine(DB);
+  std::string Goal = "p([";
+  for (int I = 0; I < 64; ++I)
+    Goal += (I ? "," : "") + std::to_string(I);
+  Goal += "], R)";
+  auto G = Parser::parseTerm(Syms, Engine.store(), Goal);
+  Engine.solve(*G, nullptr); // Warm the table: later calls are hits.
+  for (auto _ : State) {
+    size_t N = Engine.solve(*G, nullptr);
+    benchmark::DoNotOptimize(N);
   }
-  Solver::setDefaultUseTrieTables(Prev);
+  State.SetItemsProcessed(State.iterations());
 }
-BENCHMARK(BM_TabledCallMicro)->Arg(0)->Arg(1);
+BENCHMARK(BM_TabledCallMicro);
 
-/// A/B ablation: answer INSERTION under the canonical tabling workload --
-/// transitive closure of a complete digraph. Answers are derived many
-/// times over (every intermediate vertex re-derives every path), and the
-/// recursive calls path(v, Y) are partially bound, which is where
-/// substitution factoring pays: the legacy path builds a canonical key of
-/// the WHOLE instance per derivation and stores/returns whole-instance
-/// copies, while the factored path walks only the binding of Y.
+/// Answer INSERTION under the canonical tabling workload -- transitive
+/// closure of a complete digraph. Answers are derived many times over
+/// (every intermediate vertex re-derives every path), and the recursive
+/// calls path(v, Y) are partially bound, which is where substitution
+/// factoring pays: each derivation walks only the binding of Y.
 void BM_AnswerInsertMicro(benchmark::State &State) {
-  bool Prev = Solver::setDefaultUseTrieTables(State.range(0) != 0);
-  {
-    const int N = 12;
-    std::string Prog = ":- table path/2.\n"
-                       "path(X, Y) :- edge(X, Y).\n"
-                       "path(X, Y) :- edge(X, Z), path(Z, Y).\n";
-    for (int I = 0; I < N; ++I)
-      for (int J = 0; J < N; ++J)
-        Prog += "edge(" + std::to_string(I) + ", " + std::to_string(J) +
-                ").\n";
-    SymbolTable Syms;
-    Database DB(Syms);
-    (void)DB.consult(Prog);
-    for (auto _ : State) {
-      Solver Engine(DB);
-      auto G = Parser::parseTerm(Syms, Engine.store(), "path(X, Y)");
-      size_t Sols = Engine.solve(*G, nullptr);
-      benchmark::DoNotOptimize(Sols);
-    }
-    // recordAnswer calls per run: 2N^2 unique answers + 2N^2 duplicates.
-    State.SetItemsProcessed(State.iterations() * 4 * N * N);
+  const int N = 12;
+  std::string Prog = ":- table path/2.\n"
+                     "path(X, Y) :- edge(X, Y).\n"
+                     "path(X, Y) :- edge(X, Z), path(Z, Y).\n";
+  for (int I = 0; I < N; ++I)
+    for (int J = 0; J < N; ++J)
+      Prog += "edge(" + std::to_string(I) + ", " + std::to_string(J) + ").\n";
+  SymbolTable Syms;
+  Database DB(Syms);
+  (void)DB.consult(Prog);
+  for (auto _ : State) {
+    Solver Engine(DB);
+    auto G = Parser::parseTerm(Syms, Engine.store(), "path(X, Y)");
+    size_t Sols = Engine.solve(*G, nullptr);
+    benchmark::DoNotOptimize(Sols);
   }
-  Solver::setDefaultUseTrieTables(Prev);
+  // recordAnswer calls per run: 2N^2 unique answers + 2N^2 duplicates.
+  State.SetItemsProcessed(State.iterations() * 4 * N * N);
 }
-BENCHMARK(BM_AnswerInsertMicro)->Arg(0)->Arg(1);
+BENCHMARK(BM_AnswerInsertMicro);
 
 /// A/B ablation of answer provenance (Options::RecordProvenance) on the
 /// same complete-digraph closure as BM_AnswerInsertMicro: every unique
@@ -487,9 +473,6 @@ int main(int argc, char **argv) {
   // BenchUtil::writeBenchMeta for the google-benchmark JSON schema.
   benchmark::AddCustomContext("git_sha", LPA_GIT_SHA);
   benchmark::AddCustomContext("build_type", LPA_BUILD_TYPE);
-  benchmark::AddCustomContext(
-      "use_trie_tables_default",
-      lpa::Solver::defaultUseTrieTables() ? "true" : "false");
   int Argc = static_cast<int>(Args.size());
   benchmark::Initialize(&Argc, Args.data());
   if (benchmark::ReportUnrecognizedArguments(Argc, Args.data()))

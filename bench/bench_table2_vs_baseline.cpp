@@ -26,12 +26,11 @@ using namespace lpa;
 int main(int argc, char **argv) {
   std::printf("Table 2: tabled engine (XSB role) vs special-purpose "
               "baseline (GAIA role), total analysis time\n"
-              "(ours in ms; paper columns in seconds; Engine runs twice: "
-              "trie tables vs legacy string-keyed tables)\n\n");
+              "(ours in ms; paper columns in seconds)\n\n");
 
   TextTable Out;
-  Out.addRow({"Program", "Eng(trie)", "Eng(str)", "Baseline", "Base(naive)",
-              "Identical", "|", "paperXSB(s)", "paperGAIA(s)"});
+  Out.addRow({"Program", "Engine", "Baseline", "Base(naive)", "Identical", "|",
+              "paperXSB(s)", "paperGAIA(s)"});
 
   std::string Json;
   JsonWriter W(Json);
@@ -43,34 +42,23 @@ int main(int argc, char **argv) {
 
   int Failures = 0;
   for (const CorpusProgram &P : prologBenchmarks()) {
-    // The engine runs under BOTH table representations (the A/B ablation);
-    // results must be identical bit for bit.
-    GroundnessResult EngineResult, EngineResultStr;
-    auto RunEngine = [&](bool UseTrieTables) {
-      bool Prev = Solver::setDefaultUseTrieTables(UseTrieTables);
-      MeasuredRow Best = bestOf(5, [&]() {
-        MeasuredRow Row;
-        SymbolTable Symbols;
-        GroundnessAnalyzer Analyzer(Symbols);
-        auto R = Analyzer.analyze(P.Source);
-        if (!R) {
-          Row.Error = R.getError().str();
-          return Row;
-        }
-        GroundnessResult &Target =
-            UseTrieTables ? EngineResult : EngineResultStr;
-        Target = std::move(*R);
-        Row.PreprocMs = Target.PreprocSeconds * 1e3;
-        Row.AnalysisMs = Target.AnalysisSeconds * 1e3;
-        Row.CollectMs = Target.CollectSeconds * 1e3;
-        Row.Ok = true;
+    GroundnessResult EngineResult;
+    MeasuredRow Engine = bestOf(5, [&]() {
+      MeasuredRow Row;
+      SymbolTable Symbols;
+      GroundnessAnalyzer Analyzer(Symbols);
+      auto R = Analyzer.analyze(P.Source);
+      if (!R) {
+        Row.Error = R.getError().str();
         return Row;
-      });
-      Solver::setDefaultUseTrieTables(Prev);
-      return Best;
-    };
-    MeasuredRow Engine = RunEngine(/*UseTrieTables=*/true);
-    MeasuredRow EngineStr = RunEngine(/*UseTrieTables=*/false);
+      }
+      EngineResult = std::move(*R);
+      Row.PreprocMs = EngineResult.PreprocSeconds * 1e3;
+      Row.AnalysisMs = EngineResult.AnalysisSeconds * 1e3;
+      Row.CollectMs = EngineResult.CollectSeconds * 1e3;
+      Row.Ok = true;
+      return Row;
+    });
 
     BaselineResult BaselineRes;
     auto RunBaseline = [&](bool Seminaive) {
@@ -97,10 +85,10 @@ int main(int argc, char **argv) {
     MeasuredRow Baseline = RunBaseline(/*Seminaive=*/true);
     MeasuredRow BaselineNaive = RunBaseline(/*Seminaive=*/false);
 
-    if (!Engine.Ok || !EngineStr.Ok || !Baseline.Ok || !BaselineNaive.Ok) {
+    if (!Engine.Ok || !Baseline.Ok || !BaselineNaive.Ok) {
       std::fprintf(stderr, "%s failed: %s%s%s\n", P.Name,
-                   Engine.Error.c_str(), EngineStr.Error.c_str(),
-                   Baseline.Error.c_str());
+                   Engine.Error.c_str(), Baseline.Error.c_str(),
+                   BaselineNaive.Error.c_str());
       ++Failures;
       continue;
     }
@@ -111,55 +99,31 @@ int main(int argc, char **argv) {
     for (size_t I = 0; Identical && I < EngineResult.Predicates.size(); ++I)
       Identical = EngineResult.Predicates[I].SuccessSet ==
                   BaselineRes.Predicates[I].SuccessSet;
-    // And the two table representations must agree with each other:
-    // identical success sets AND identical call patterns.
-    bool TrieIdentical = EngineResult.Predicates.size() ==
-                         EngineResultStr.Predicates.size();
-    for (size_t I = 0; TrieIdentical && I < EngineResult.Predicates.size();
-         ++I)
-      TrieIdentical =
-          EngineResult.Predicates[I].SuccessSet ==
-              EngineResultStr.Predicates[I].SuccessSet &&
-          EngineResult.Predicates[I].CallPatterns ==
-              EngineResultStr.Predicates[I].CallPatterns;
-    Identical = Identical && TrieIdentical;
     if (!Identical)
       ++Failures;
 
-    Out.addRow({P.Name, ms(Engine.totalMs()), ms(EngineStr.totalMs()),
-                ms(Baseline.totalMs()), ms(BaselineNaive.totalMs()),
+    Out.addRow({P.Name, ms(Engine.totalMs()), ms(Baseline.totalMs()), ms(BaselineNaive.totalMs()),
                 Identical ? "yes" : "NO!", "|", paperSec(P.Table1.Total),
                 paperSec(P.GaiaSeconds)});
 
     W.beginObject();
     W.member("name", P.Name);
     W.member("engine_total_ms", Engine.totalMs());
-    W.member("engine_string_total_ms", EngineStr.totalMs());
     W.member("baseline_total_ms", Baseline.totalMs());
     W.member("baseline_naive_total_ms", BaselineNaive.totalMs());
     W.member("identical_results", Identical);
-    W.member("identical_trie_vs_string", TrieIdentical);
     W.endObject();
   }
 
   W.endArray();
 
-  // Parallel arm under BOTH table representations. The default flips on
-  // the main thread between runs, and each fleet's pool is joined before
-  // the flip, so workers observe a stable value (happens-before via join).
-  size_t Jobs = jobsArg(argc, argv);
-  bool Prov = provenanceArg(argc, argv);
-  uint32_t Hz = sampleHzArg(argc, argv);
-  // Only the trie fleet writes folded stacks — a shared --folded path
-  // would be clobbered by the string-table phase.
-  Failures += runFleetPhase(W, "fleet_trie", CorpusJobKind::Groundness, Jobs,
-                            Prov, Hz, foldedOutArg(argc, argv));
-  {
-    bool Prev = Solver::setDefaultUseTrieTables(false);
-    Failures += runFleetPhase(W, "fleet_string", CorpusJobKind::Groundness,
-                              Jobs, Prov, Hz);
-    Solver::setDefaultUseTrieTables(Prev);
-  }
+  // Parallel arm (--jobs N, default hardware threads): the same 12 programs
+  // through the CorpusScheduler, serial then parallel, with per-predicate
+  // bit-identity required between the two runs.
+  Failures +=
+      runFleetPhase(W, "fleet", CorpusJobKind::Groundness, jobsArg(argc, argv),
+                    provenanceArg(argc, argv), sampleHzArg(argc, argv),
+                    foldedOutArg(argc, argv));
 
   W.endObject();
   std::printf("%s\n", Out.render().c_str());

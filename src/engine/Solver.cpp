@@ -98,29 +98,6 @@ std::optional<int64_t> lpa::evalArith(const TermStore &Store,
 // Construction and small helpers
 //===----------------------------------------------------------------------===//
 
-namespace {
-/// Process-wide default for Options::UseTrieTables; see Solver header.
-bool DefaultUseTrieTables = true;
-/// Process-wide default for Options::EvalWorkers (0 = serial).
-size_t DefaultEvalWorkers = 0;
-} // namespace
-
-bool Solver::setDefaultUseTrieTables(bool V) {
-  bool Prev = DefaultUseTrieTables;
-  DefaultUseTrieTables = V;
-  return Prev;
-}
-
-bool Solver::defaultUseTrieTables() { return DefaultUseTrieTables; }
-
-size_t Solver::setDefaultEvalWorkers(size_t N) {
-  size_t Prev = DefaultEvalWorkers;
-  DefaultEvalWorkers = N;
-  return Prev;
-}
-
-size_t Solver::defaultEvalWorkers() { return DefaultEvalWorkers; }
-
 Solver::Solver(Database &DB) : Solver(DB, Options()) {}
 
 Solver::Solver(Database &DB, Options Opts)
@@ -185,10 +162,9 @@ size_t Solver::solve(TermRef Goal, const SolutionFn &OnSolution) {
     // Intra-query parallelism: an outermost conjunction of independent
     // tabled goals is primed in parallel first; the ordinary serial search
     // below then runs entirely against warm tables. primeTables re-checks
-    // the full gate (worker count, trie tables, no provenance, >= 2
-    // variable-disjoint seeds) and degrades to a no-op when it fails.
-    if (Opts.EvalWorkers > 1 && Opts.UseTrieTables &&
-        !Opts.RecordProvenance && !Priming) {
+    // the full gate (worker count, no provenance, >= 2 variable-disjoint
+    // seeds) and degrades to a no-op when it fails.
+    if (Opts.EvalWorkers > 1 && !Opts.RecordProvenance && !Priming) {
       std::vector<TermRef> Seeds;
       collectSpawnSeeds(Goal, Seeds);
       if (Seeds.size() >= 2)
@@ -235,12 +211,8 @@ ErrorOr<size_t> Solver::solveText(std::string_view GoalText,
 }
 
 const Subgoal *Solver::findSubgoal(TermRef Call) const {
-  if (Opts.UseTrieTables) {
-    uint32_t Idx = SubgoalTrie.find(Heap, Call);
-    return Idx == TermTrie::NoValue ? nullptr : SubgoalOwned[Idx].get();
-  }
-  auto It = SubgoalByKey.find(canonicalKey(Heap, Call));
-  return It == SubgoalByKey.end() ? nullptr : It->second;
+  uint32_t Idx = SubgoalTrie.find(Heap, Call);
+  return Idx == TermTrie::NoValue ? nullptr : SubgoalOwned[Idx].get();
 }
 
 TermRef Solver::answerInstance(const Subgoal &SG, size_t I,
@@ -271,18 +243,15 @@ size_t ClauseFrontier::memoryBytes() const {
 
 size_t Solver::tableSpaceBytes() const {
   // The paper's "Table space" column: memory held by call and answer
-  // tables. We count the table store's cells, variant keys, answer vectors
-  // and an estimate of hash-node overhead.
+  // tables. We count the table store's cells, the tries, the answer
+  // vectors and the per-subgoal records.
   size_t Bytes = Tables.memoryBytes();
   for (const Subgoal *SG : SubgoalOrder) {
     Bytes += sizeof(Subgoal);
-    Bytes += SG->Key.capacity();
     Bytes += SG->CallVars.capacity() * sizeof(TermRef);
     Bytes += SG->Answers.capacity() * sizeof(TermRef);
     Bytes += SG->AnswerBindings.capacity() * sizeof(TermRef);
     Bytes += SG->AnswerSeq.capacity() * sizeof(uint64_t);
-    for (const auto &K : SG->AnswerKeys)
-      Bytes += K.capacity() + sizeof(void *) * 2;
     if (SG->AnswerTrie)
       Bytes += sizeof(TermTrie) + SG->AnswerTrie->memoryBytes();
     if (SG->SharedAnswerTrie)
@@ -293,7 +262,6 @@ size_t Solver::tableSpaceBytes() const {
         Bytes += CF->memoryBytes();
   }
   Bytes += SubgoalTrie.memoryBytes();
-  Bytes += SubgoalByKey.size() * (sizeof(void *) * 4);
   // Provenance survives completion (the frontiers it was distilled from do
   // not), so its arena is table space, not evaluation scratch.
   if (Prov)
@@ -320,17 +288,15 @@ const TableWatermarks &Solver::watermarks() const {
 }
 
 size_t Solver::subgoalMemoryBytes(const Subgoal &SG) const {
-  // Apportioned table space: the subgoal record, its variant keys or
-  // answer trie, its term cells in the shared table store (call +
+  // Apportioned table space: the subgoal record, its answer trie, its
+  // term cells in the shared table store (call +
   // answers, measured via the TermStore arena), and any live
   // supplementary frontiers.
-  size_t Bytes = sizeof(Subgoal) + SG.Key.capacity();
+  size_t Bytes = sizeof(Subgoal);
   Bytes += SG.CallVars.capacity() * sizeof(TermRef);
   Bytes += SG.Answers.capacity() * sizeof(TermRef);
   Bytes += SG.AnswerBindings.capacity() * sizeof(TermRef);
   Bytes += SG.AnswerSeq.capacity() * sizeof(uint64_t);
-  for (const auto &K : SG.AnswerKeys)
-    Bytes += K.capacity() + sizeof(void *) * 2;
   if (SG.AnswerTrie)
     Bytes += sizeof(TermTrie) + SG.AnswerTrie->memoryBytes();
   if (SG.SharedAnswerTrie)
@@ -431,7 +397,6 @@ void Solver::clearTables() {
   assert(ProducerStack.empty() && CompletionStack.empty() &&
          "cannot clear tables during evaluation");
   SubgoalOwned.clear();
-  SubgoalByKey.clear();
   SubgoalTrie.clear();
   SubgoalOrder.clear();
   Tables.clear();
@@ -478,8 +443,6 @@ Solver::invalidateDependents(std::span<const PredKey> Changed) {
     size_t Freed = SG->Answers.capacity() * sizeof(TermRef) +
                    SG->AnswerBindings.capacity() * sizeof(TermRef) +
                    SG->AnswerSeq.capacity() * sizeof(uint64_t);
-    for (const auto &K : SG->AnswerKeys)
-      Freed += K.capacity() + sizeof(void *) * 2;
     if (SG->AnswerTrie)
       Freed += sizeof(TermTrie) + SG->AnswerTrie->memoryBytes();
     if (SG->SharedAnswerTrie)
@@ -494,7 +457,6 @@ Solver::invalidateDependents(std::span<const PredKey> Changed) {
     SG->AnswerBindings.shrink_to_fit();
     SG->AnswerSeq.clear();
     SG->AnswerSeq.shrink_to_fit();
-    SG->AnswerKeys.clear();
     SG->AnswerTrie.reset();
     SG->SharedAnswerTrie.reset();
     SG->Frontiers.clear();
@@ -656,8 +618,8 @@ size_t Solver::primeTables(std::span<const TermRef> Goals) {
   if (Seeds.empty())
     return 0;
 
-  bool Parallel = Opts.EvalWorkers > 1 && Opts.UseTrieTables &&
-                  !Opts.RecordProvenance && !Priming && Seeds.size() >= 2;
+  bool Parallel = Opts.EvalWorkers > 1 && !Opts.RecordProvenance &&
+                  !Priming && Seeds.size() >= 2;
   if (!Parallel) {
     // Serial fallback: drive each seed to completion in order — the same
     // tables the parallel phase computes, minus the concurrency.
@@ -791,7 +753,7 @@ Solver::buildPublishedTable(const Subgoal &SG) const {
 void Solver::fillSubgoalFromPublished(
     Subgoal &SG, const SharedTableSpace::PublishedTable &PT) {
   assert(SG.Factored == PT.Factored &&
-         "publisher and importer disagree on table representation");
+         "publisher and importer disagree on answer aggregation");
   size_t K = PT.NumCallVars;
   if (PT.Factored) {
     assert(SG.CallVars.size() == K && "variant call shapes must agree");
@@ -1065,54 +1027,40 @@ bool Solver::recordAnswer(Subgoal &SG, TermRef Instance) {
     return true;
   }
 
-  if (SG.Factored) {
-    // Substitution factoring: the answer is the tuple of bindings of the
-    // call's free variables; the whole instance is never materialized.
-    // One trie walk over the tuple both checks for a duplicate variant
-    // and claims the slot (check/insert fusion).
-    extractCallBindings(SG, Instance, BindScratch);
-    bool Inserted;
-    if (SG.SharedAnswerTrie) {
-      // Parallel worker: the optimistic check-then-lock insert path.
-      ConcurrentTermTrie::InsertResult R = SG.SharedAnswerTrie->insert(
-          Heap, std::span<const TermRef>(BindScratch),
-          static_cast<uint32_t>(SG.AnswerSeq.size()));
-      Stats.TrieNodesCreated += R.NodesCreated;
-      Inserted = R.Inserted;
-    } else {
-      TermTrie::InsertResult R = SG.AnswerTrie->insert(
-          Heap, std::span<const TermRef>(BindScratch),
-          static_cast<uint32_t>(SG.AnswerSeq.size()));
-      Stats.TrieNodesCreated += R.NodesCreated;
-      Inserted = R.Inserted;
-    }
-    if (!Inserted) {
-      ++Stats.TrieHits;
-      NoteDuplicate();
-      return false;
-    }
-    ++Stats.TrieMisses;
-    // One shared renaming across the tuple: variables shared between
-    // binding slots stay shared in the table store.
-    RenameScratch.clear();
-    for (TermRef B : BindScratch)
-      SG.AnswerBindings.push_back(copyTerm(Heap, B, Tables, RenameScratch));
-    SG.AnswerSeq.push_back(++AnswerSeqCounter);
+  // Every table without an answer join is factored. Substitution
+  // factoring: the answer is the tuple of bindings of the call's free
+  // variables; the whole instance is never materialized. One trie walk
+  // over the tuple both checks for a duplicate variant and claims the slot
+  // (check/insert fusion).
+  assert(SG.Factored && "unfactored tables take the answer-join path");
+  extractCallBindings(SG, Instance, BindScratch);
+  bool Inserted;
+  if (SG.SharedAnswerTrie) {
+    // Parallel worker: the optimistic check-then-lock insert path.
+    ConcurrentTermTrie::InsertResult R = SG.SharedAnswerTrie->insert(
+        Heap, std::span<const TermRef>(BindScratch),
+        static_cast<uint32_t>(SG.AnswerSeq.size()));
+    Stats.TrieNodesCreated += R.NodesCreated;
+    Inserted = R.Inserted;
   } else {
-    // Legacy string-keyed path. The probe key lives in a member scratch
-    // buffer reused across a producer run's candidates, so duplicate
-    // answers (the common case at fixpoint) cost no allocation.
-    KeyScratch.clear();
-    appendCanonicalKey(Heap, Instance, KeyScratch);
-    if (SG.AnswerKeys.count(KeyScratch)) {
-      NoteDuplicate();
-      return false;
-    }
-    TermRef Stored = copyTerm(Heap, Instance, Tables);
-    SG.AnswerKeys.insert(KeyScratch);
-    SG.Answers.push_back(Stored);
-    SG.AnswerSeq.push_back(++AnswerSeqCounter);
+    TermTrie::InsertResult R = SG.AnswerTrie->insert(
+        Heap, std::span<const TermRef>(BindScratch),
+        static_cast<uint32_t>(SG.AnswerSeq.size()));
+    Stats.TrieNodesCreated += R.NodesCreated;
+    Inserted = R.Inserted;
   }
+  if (!Inserted) {
+    ++Stats.TrieHits;
+    NoteDuplicate();
+    return false;
+  }
+  ++Stats.TrieMisses;
+  // One shared renaming across the tuple: variables shared between
+  // binding slots stay shared in the table store.
+  RenameScratch.clear();
+  for (TermRef B : BindScratch)
+    SG.AnswerBindings.push_back(copyTerm(Heap, B, Tables, RenameScratch));
+  SG.AnswerSeq.push_back(++AnswerSeqCounter);
   PredMaxAnswerSeq[(uint64_t(SG.Pred.Sym) << 32) | SG.Pred.Arity] =
       AnswerSeqCounter;
   NoteRecorded();
@@ -1278,8 +1226,7 @@ void Solver::solveSemiGoal(TermRef G, uint64_t MinSeq,
     Trace->emit(TraceEventKind::TabledCall, Key.Sym, Key.Arity);
   std::vector<TermRef> GoalVars;
   size_t NSubgoals = SubgoalOwned.size();
-  Subgoal &SG =
-      ensureSubgoal(G, Key, Opts.UseTrieTables ? &GoalVars : nullptr);
+  Subgoal &SG = ensureSubgoal(G, Key, GoalVars);
   // Same warm/cold accounting as solveTabled (the supplementary path is
   // just the other consumer of tabled answers).
   if (SG.Ordinal >= NSubgoals) {
@@ -1485,7 +1432,7 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
       // chain; materialize it (in body-goal order) and hand it to
       // recordAnswer via PendingPremises. This loop performs no nested
       // evaluation, so the scratch/pointer pair cannot be clobbered
-      // reentrantly (same discipline as KeyScratch).
+      // reentrantly (same discipline as BindScratch).
       SuppPremiseScratch.clear();
       collectFrontierPremises(CF, NumGoals, Idx, SuppPremiseScratch);
       CurClauseIdx = static_cast<uint32_t>(ClauseIdx);
@@ -1651,8 +1598,6 @@ size_t Solver::releaseCompletedState(Subgoal &SG) {
       FrontierBytes += CF->memoryBytes();
   size_t Freed = FrontierBytes;
   size_t DedupBytes = 0;
-  for (const auto &K : SG.AnswerKeys)
-    DedupBytes += K.capacity() + sizeof(void *) * 2;
   if (SG.AnswerTrie)
     DedupBytes += sizeof(TermTrie) + SG.AnswerTrie->memoryBytes();
   if (SG.SharedAnswerTrie)
@@ -1671,7 +1616,6 @@ size_t Solver::releaseCompletedState(Subgoal &SG) {
     Water.PeakSubgoalAnswerBytes = AnswerBytes;
   SG.Frontiers.clear();
   SG.Frontiers.shrink_to_fit();
-  SG.AnswerKeys.clear();
   SG.AnswerTrie.reset();
   SG.SharedAnswerTrie.reset();
   SG.Consumers.clear();
@@ -1680,40 +1624,26 @@ size_t Solver::releaseCompletedState(Subgoal &SG) {
 }
 
 Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
-                               std::vector<TermRef> *GoalVars) {
-  std::string CallKey;
-  if (Opts.UseTrieTables) {
-    // One walk of the call term performs lookup AND insert; the walk also
-    // yields the call's free variables (for factored answer return) as a
-    // byproduct, so a table hit costs no allocation at all.
-    TermTrie::InsertResult R = SubgoalTrie.insert(
-        Heap, Goal, static_cast<uint32_t>(SubgoalOwned.size()), GoalVars);
-    Stats.TrieNodesCreated += R.NodesCreated;
-    if (!R.Inserted) {
-      ++Stats.TrieHits;
-      Subgoal &Hit = *SubgoalOwned[R.Value];
-      if (Hit.Invalidated) {
-        // The trie has no delete, so a tombstoned variant is revived in
-        // place: same Subgoal record, same ordinal, fresh producer run
-        // against the mutated program.
-        reviveSubgoal(Hit);
-        driveSubgoal(Hit);
-      }
-      return Hit;
+                               std::vector<TermRef> &GoalVars) {
+  // One walk of the call term performs lookup AND insert; the walk also
+  // yields the call's free variables (for factored answer return) as a
+  // byproduct, so a table hit costs no allocation at all.
+  TermTrie::InsertResult R = SubgoalTrie.insert(
+      Heap, Goal, static_cast<uint32_t>(SubgoalOwned.size()), &GoalVars);
+  Stats.TrieNodesCreated += R.NodesCreated;
+  if (!R.Inserted) {
+    ++Stats.TrieHits;
+    Subgoal &Hit = *SubgoalOwned[R.Value];
+    if (Hit.Invalidated) {
+      // The trie has no delete, so a tombstoned variant is revived in
+      // place: same Subgoal record, same ordinal, fresh producer run
+      // against the mutated program.
+      reviveSubgoal(Hit);
+      driveSubgoal(Hit);
     }
-    ++Stats.TrieMisses;
-  } else {
-    CallKey = canonicalKey(Heap, Goal);
-    auto It = SubgoalByKey.find(CallKey);
-    if (It != SubgoalByKey.end()) {
-      Subgoal &Hit = *It->second;
-      if (Hit.Invalidated) {
-        reviveSubgoal(Hit);
-        driveSubgoal(Hit);
-      }
-      return Hit;
-    }
+    return Hit;
   }
+  ++Stats.TrieMisses;
 
   ++Stats.SubgoalsCreated;
   if (Metrics)
@@ -1727,7 +1657,6 @@ Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
   // Creation-order index: the trie leaf above already carries the same
   // value, and provenance premises/forest nodes are keyed by it.
   SG.Ordinal = static_cast<uint32_t>(SubgoalOwned.size());
-  SG.Key = std::move(CallKey); // Empty on the trie path: no key string.
   SG.CallTerm = copyTerm(Heap, Goal, Tables);
   if (size_t StoreBytes = Tables.memoryBytes();
       StoreBytes > Water.PeakTermStoreBytes)
@@ -1736,9 +1665,7 @@ Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
   // corresponds index-wise to the trie walk's variable numbering (and to
   // any variant consumer's own free-variable order).
   collectFreeVars(Tables, SG.CallTerm, SG.CallVars);
-  SG.Factored =
-      Opts.UseTrieTables &&
-      !AnswerJoins.count((uint64_t(Key.Sym) << 32) | Key.Arity);
+  SG.Factored = !AnswerJoins.count((uint64_t(Key.Sym) << 32) | Key.Arity);
   if (SG.Factored) {
     // Parallel eval workers dedup answers through the optimistic
     // check-then-lock trie; serial solvers keep the plain one.
@@ -1776,8 +1703,6 @@ Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
     }
   }
   SubgoalOwned.push_back(std::move(Owned));
-  if (!Opts.UseTrieTables)
-    SubgoalByKey.emplace(SG.Key, &SG);
   SubgoalOrder.push_back(&SG);
   driveSubgoal(SG);
   return SG;
@@ -1928,8 +1853,7 @@ Solver::Signal Solver::solveTabled(const Predicate &P, TermRef Goal,
     Trace->emit(TraceEventKind::TabledCall, P.Key.Sym, P.Key.Arity);
   std::vector<TermRef> GoalVars;
   size_t NSubgoals = SubgoalOwned.size();
-  Subgoal &SG =
-      ensureSubgoal(Goal, P.Key, Opts.UseTrieTables ? &GoalVars : nullptr);
+  Subgoal &SG = ensureSubgoal(Goal, P.Key, GoalVars);
   // Warm/cold accounting: a variant that had to be created is a cold
   // miss; one completed by an *earlier* query is a warm hit (the reuse a
   // long-lived service banks on). Re-hits within the producing query are
@@ -1970,8 +1894,8 @@ Solver::Signal Solver::solveTabled(const Predicate &P, TermRef Goal,
   if (SG.Factored) {
     // Substitution factoring: the goal is a variant of the tabled call,
     // so its free variables (in first-occurrence order) correspond 1:1 to
-    // CallVars; binding them to the stored tuple replaces the legacy
-    // copy-whole-instance-then-unify answer return.
+    // CallVars; binding them to the stored tuple needs no instance copy
+    // and no unification.
     for (size_t I = 0; I < SG.AnswerSeq.size(); ++I) {
       auto M = Heap.mark();
       bindFactoredAnswer(SG, I, GoalVars);

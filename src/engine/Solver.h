@@ -96,8 +96,8 @@ struct EvalStats {
   /// \name Variant-dedup counters.
   /// @{
   /// Dedup probes that found an existing variant, and probes that inserted
-  /// a new one: subgoal and answer tries (Options::UseTrieTables) and, in
-  /// both table modes, every supplementary-frontier level.
+  /// a new one: the subgoal trie, factored answer tries and every
+  /// supplementary-frontier level.
   uint64_t TrieHits = 0;
   uint64_t TrieMisses = 0;
   /// Subgoal- and answer-trie nodes allocated, cumulative (frontier levels
@@ -232,12 +232,12 @@ struct ClauseFrontier {
 struct Subgoal {
   PredKey Pred;
   TermRef CallTerm; ///< Copy of the call in the table store.
-  std::string Key;  ///< Canonical (variant) key of the call (legacy path).
   /// Distinct unbound variables of CallTerm in first-occurrence order (the
   /// variables substitution-factored answers bind).
   std::vector<TermRef> CallVars;
-  /// Full call instances in the table store (legacy path and aggregated
-  /// predicates; empty when Factored).
+  /// Aggregated predicates (an answer join registered, so not Factored):
+  /// the single joined call instance, in the table store. Empty when
+  /// Factored.
   std::vector<TermRef> Answers;
   /// Substitution-factored answers (Factored): bindings of CallVars only,
   /// CallVars.size() consecutive entries per answer, in the table store.
@@ -245,13 +245,12 @@ struct Subgoal {
   /// (Solver::answerInstance).
   std::vector<TermRef> AnswerBindings;
   std::vector<uint64_t> AnswerSeq; ///< Global sequence number per answer.
-  /// Answer dedup: canonical string keys (legacy) or a term trie over the
-  /// binding tuples (trie path). Both are released on completion -- no
-  /// answer is ever inserted into a completed table.
-  std::unordered_set<std::string> AnswerKeys;
+  /// Answer dedup of a factored table: a term trie over the binding
+  /// tuples, released on completion -- no answer is ever inserted into a
+  /// completed table.
   std::unique_ptr<TermTrie> AnswerTrie;
-  /// True when answers are stored substitution-factored (trie tables on
-  /// and no answer join registered for the predicate).
+  /// True when answers are stored substitution-factored: no answer join is
+  /// registered for the predicate.
   bool Factored = false;
   bool Complete = false;
   /// Poisoned: the depth limit pruned a branch while this subgoal (or a
@@ -329,18 +328,9 @@ public:
     /// Evaluate pure clause bodies of tabled predicates set-at-a-time
     /// with persistent intermediate frontiers, pushing only new answers
     /// through on re-runs ("supplementary tabling", Section 4.2's
-    /// suggested optimization). Off = plain tuple-at-a-time re-runs (the
-    /// ablation the benches report).
+    /// suggested optimization). Off = plain tuple-at-a-time re-runs, which
+    /// the tests use as the differential oracle for the frontier path.
     bool SupplementaryTabling = true;
-    /// Back the subgoal table and per-subgoal answer tables with term
-    /// tries plus substitution factoring (XSB's table representation)
-    /// instead of canonical string keys. One walk of the call performs
-    /// lookup and insert; answers store only the bindings of the call's
-    /// free variables. Off = the legacy string-keyed tables (the A/B
-    /// ablation the benches report). Both paths compute identical answers.
-    /// Supplementary frontiers do not depend on it: they always store
-    /// variant codes (ClauseFrontier).
-    bool UseTrieTables = defaultUseTrieTables();
     /// Record, for every unique answer, which clause produced it and which
     /// premise answers — (subgoal, answer-index) pairs — its derivation
     /// consumed, in a per-solver ProvenanceArena (src/obs). Also records
@@ -362,29 +352,15 @@ public:
     /// outermost solve() (or an explicit primeTables() call) dispatch
     /// independent tabled seed goals to N pool workers that share one
     /// SharedTableSpace, then import every published table before the
-    /// ordinary serial search runs against the now-warm tables. Requires
-    /// UseTrieTables; provenance recording forces the serial path (proof
-    /// premise indices are per-solver and cannot cross worker boundaries).
+    /// ordinary serial search runs against the now-warm tables. Provenance
+    /// recording forces the serial path (proof premise indices are
+    /// per-solver and cannot cross worker boundaries).
     /// Answer SETS are identical to serial evaluation — SLG computes the
     /// unique minimal model per subgoal regardless of scheduling — so
     /// set-based fingerprints are bit-identical; raw enumeration order of
     /// subgoals/answers may differ.
-    size_t EvalWorkers = defaultEvalWorkers();
+    size_t EvalWorkers = 0;
   };
-
-  /// Process-wide default for Options::UseTrieTables (initially true).
-  /// A/B harnesses flip it around a run so analyzers that build their own
-  /// Solver internally pick the flag up without plumbing.
-  /// \returns the previous default.
-  static bool setDefaultUseTrieTables(bool V);
-  static bool defaultUseTrieTables();
-
-  /// Process-wide default for Options::EvalWorkers (initially 0 = serial),
-  /// same A/B pattern as setDefaultUseTrieTables: scaling harnesses flip it
-  /// around a run so analyzers that build their own Solver pick the worker
-  /// count up without plumbing. \returns the previous default.
-  static size_t setDefaultEvalWorkers(size_t N);
-  static size_t defaultEvalWorkers();
 
   explicit Solver(Database &DB);
   Solver(Database &DB, Options Opts);
@@ -420,8 +396,8 @@ public:
 
   /// Drives every tabled seed goal of \p Goals (terms in store()) to
   /// completion, in parallel when the parallel gate is open (EvalWorkers
-  /// > 1, trie tables on, provenance off, and at least two eligible seeds
-  /// with pairwise-disjoint variables); otherwise each seed is solved
+  /// > 1, provenance off, and at least two eligible seeds with
+  /// pairwise-disjoint variables); otherwise each seed is solved
   /// serially in order. The parallel phase evaluates seeds in per-worker
   /// solvers against one SharedTableSpace — a worker that claims a variant
   /// runs its producer and publishes the completed table; a worker that
@@ -482,23 +458,23 @@ public:
   /// store()), or nullptr if that variant was never called.
   const Subgoal *findSubgoal(TermRef Call) const;
 
-  /// Number of answers in \p SG's table (either representation).
+  /// Number of answers in \p SG's table.
   size_t answerCount(const Subgoal &SG) const { return SG.AnswerSeq.size(); }
 
   /// Materializes answer \p I of \p SG as a full instance of the call,
   /// built in \p Out. For substitution-factored tables this instantiates
   /// the stored call skeleton with the answer's bindings (sharing between
-  /// binding slots preserved); for legacy tables it copies the stored
-  /// instance. This is the inspection path -- evaluation itself never
+  /// binding slots preserved); for aggregated tables it copies the stored
+  /// joined instance. This is the inspection path -- evaluation itself never
   /// rebuilds instances.
   TermRef answerInstance(const Subgoal &SG, size_t I, TermStore &Out) const;
 
-  /// Bytes attributable to the tables: call/answer terms, variant keys,
-  /// index structures. This is the paper's "Table space" column.
+  /// Bytes attributable to the tables: call/answer terms, tries, index
+  /// structures. This is the paper's "Table space" column.
   size_t tableSpaceBytes() const;
 
   /// Bytes attributable to ONE subgoal's table: the subgoal record, its
-  /// variant key or answer trie, its term cells in the table store (call +
+  /// answer trie, its term cells in the table store (call +
   /// answers), and any live supplementary frontiers. snapshotTableMetrics
   /// apportions per-predicate TableBytes with this, and the service
   /// layer's `inspect` op ranks tables by it.
@@ -770,12 +746,11 @@ private:
   bool isStaticPred(PredKey Key);
 
   /// Creates/loads the subgoal for \p Goal and drives it as far toward
-  /// completion as its SCC allows. On the trie path \p GoalVars (when
-  /// non-null) receives \p Goal's distinct unbound variables in
-  /// first-occurrence order -- the variables factored answers bind -- as
-  /// a free byproduct of the table walk.
+  /// completion as its SCC allows. \p GoalVars receives \p Goal's distinct
+  /// unbound variables in first-occurrence order -- the variables factored
+  /// answers bind -- as a free byproduct of the table walk.
   Subgoal &ensureSubgoal(TermRef Goal, PredKey Key,
-                         std::vector<TermRef> *GoalVars = nullptr);
+                         std::vector<TermRef> &GoalVars);
 
   /// Pushes \p SG onto the completion machinery, runs its producer, and —
   /// when it turns out to be an SCC root — drives the SCC to fixpoint and
@@ -807,8 +782,8 @@ private:
   /// Instantiates the consumer's \p GoalVars (its free variables in
   /// first-occurrence order; the goal is a variant of SG.CallTerm) with
   /// answer \p I's factored bindings, copied into the heap. Bindings land
-  /// on the trail; the caller unwinds with undoTo. Replaces the legacy
-  /// copy-whole-instance-then-unify answer return.
+  /// on the trail; the caller unwinds with undoTo. No instance is copied
+  /// and no unification runs.
   void bindFactoredAnswer(const Subgoal &SG, size_t I,
                           const std::vector<TermRef> &GoalVars);
 
@@ -884,18 +859,14 @@ private:
   TermStore Heap;   ///< Scratch resolution heap.
   TermStore Tables; ///< Call/answer terms.
 
-  /// Subgoal storage, in creation order (both table representations).
+  /// Subgoal storage, in creation order.
   std::vector<std::unique_ptr<Subgoal>> SubgoalOwned;
-  /// Subgoal index, legacy path: canonical string key -> subgoal.
-  std::unordered_map<std::string, Subgoal *> SubgoalByKey;
-  /// Subgoal index, trie path: one walk of the call checks and inserts;
-  /// leaf values are indices into SubgoalOwned.
+  /// Subgoal index: one walk of the call checks and inserts; leaf values
+  /// are indices into SubgoalOwned.
   TermTrie SubgoalTrie;
   std::vector<Subgoal *> SubgoalOrder;
-  /// Scratch buffers for the legacy canonical-key path and for factored
-  /// answer extraction; reused across one producer run's candidates (never
-  /// live across a reentrant call).
-  std::string KeyScratch;
+  /// Scratch buffer for factored answer extraction, reused across one
+  /// producer run's candidates (never live across a reentrant call).
   std::vector<TermRef> BindScratch;
   /// Same discipline: extractCallBindings' walk, the answer-tuple renaming
   /// of recordAnswer/bindFactoredAnswer, and the state arguments the
@@ -975,7 +946,7 @@ private:
   /// loop of runClauseSupplementary.
   const std::vector<ProvPremise> *PendingPremises = nullptr;
   /// Scratch for collectFrontierPremises (same single-use discipline as
-  /// KeyScratch/BindScratch).
+  /// BindScratch).
   std::vector<ProvPremise> SuppPremiseScratch;
   /// Deduplicated consumer -> producer subgoal dependency edges (the
   /// forest edges), with a packed-u64 membership set.

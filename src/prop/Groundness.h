@@ -84,7 +84,7 @@ public:
     bool AggregateModes = false;
 
     /// Engine tunables forwarded to the tabled evaluation (depth limit,
-    /// table representation, supplementary tabling).
+    /// supplementary tabling, eval workers).
     Solver::Options Engine;
 
     /// Accept depth-limit-truncated tables: instead of failing, analyze()

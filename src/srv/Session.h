@@ -65,7 +65,7 @@ public:
     /// 0/1 = serial; N > 1 primes independent tabled seeds in parallel.
     /// When a sampler is attached, each eval worker gets its own lane
     /// ("<SampleLane>.wK") so worker stacks fold separately.
-    size_t EvalWorkers = Solver::defaultEvalWorkers();
+    size_t EvalWorkers = 0;
     /// Structured logger (borrowed, may be null).
     Logger *Log = nullptr;
     /// Telemetry ring sizes.

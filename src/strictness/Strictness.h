@@ -96,7 +96,7 @@ class StrictnessAnalyzer {
 public:
   struct Options {
     /// Engine tunables forwarded to the tabled evaluation (depth limit,
-    /// table representation, supplementary tabling).
+    /// supplementary tabling, eval workers).
     Solver::Options Engine;
 
     /// Accept depth-limit-truncated tables: analyze() succeeds with

@@ -46,47 +46,38 @@ size_t countReach(SymbolTable &Syms, Solver &S) {
   return S.solve(*Goal, nullptr);
 }
 
-TEST(IncompletenessTest, UntruncatedRunIsCleanBothRepresentations) {
-  for (bool UseTrieTables : {true, false}) {
-    SCOPED_TRACE(UseTrieTables ? "trie" : "string");
-    SymbolTable Syms;
-    Database DB(Syms);
-    ASSERT_TRUE(DB.consult(ChainProgram).hasValue());
-    Solver::Options Opts;
-    Opts.UseTrieTables = UseTrieTables;
-    Solver S(DB, Opts);
-    EXPECT_EQ(countReach(Syms, S), 11u); // c0..c10.
-    EXPECT_EQ(S.stats().DepthLimitHits, 0u);
-    EXPECT_EQ(S.stats().IncompleteTables, 0u);
-    for (const Subgoal *SG : S.subgoals())
-      EXPECT_FALSE(SG->Incomplete);
-  }
+TEST(IncompletenessTest, UntruncatedRunIsClean) {
+  SymbolTable Syms;
+  Database DB(Syms);
+  ASSERT_TRUE(DB.consult(ChainProgram).hasValue());
+  Solver S(DB);
+  EXPECT_EQ(countReach(Syms, S), 11u); // c0..c10.
+  EXPECT_EQ(S.stats().DepthLimitHits, 0u);
+  EXPECT_EQ(S.stats().IncompleteTables, 0u);
+  for (const Subgoal *SG : S.subgoals())
+    EXPECT_FALSE(SG->Incomplete);
 }
 
 // The regression this PR fixes: before the poisoning existed, this setup
 // dropped answers while every observable counter said the table was fine.
 TEST(IncompletenessTest, DepthLimitHitPoisonsTheProducerTable) {
-  for (bool UseTrieTables : {true, false}) {
-    SCOPED_TRACE(UseTrieTables ? "trie" : "string");
-    SymbolTable Syms;
-    Database DB(Syms);
-    ASSERT_TRUE(DB.consult(ChainProgram).hasValue());
-    Solver::Options Opts;
-    Opts.UseTrieTables = UseTrieTables;
-    Opts.MaxDepth = 8;
-    Solver S(DB, Opts);
-    size_t N = countReach(Syms, S);
-    EXPECT_LT(N, 11u); // Answers were dropped...
-    EXPECT_GT(S.stats().DepthLimitHits, 0u);
-    // ...and the truncation is no longer silent:
-    EXPECT_GE(S.stats().IncompleteTables, 1u);
-    const Subgoal *Reach = nullptr;
-    for (const Subgoal *SG : S.subgoals())
-      Reach = SG;
-    ASSERT_NE(Reach, nullptr);
-    EXPECT_TRUE(Reach->Complete);
-    EXPECT_TRUE(Reach->Incomplete);
-  }
+  SymbolTable Syms;
+  Database DB(Syms);
+  ASSERT_TRUE(DB.consult(ChainProgram).hasValue());
+  Solver::Options Opts;
+  Opts.MaxDepth = 8;
+  Solver S(DB, Opts);
+  size_t N = countReach(Syms, S);
+  EXPECT_LT(N, 11u); // Answers were dropped...
+  EXPECT_GT(S.stats().DepthLimitHits, 0u);
+  // ...and the truncation is no longer silent:
+  EXPECT_GE(S.stats().IncompleteTables, 1u);
+  const Subgoal *Reach = nullptr;
+  for (const Subgoal *SG : S.subgoals())
+    Reach = SG;
+  ASSERT_NE(Reach, nullptr);
+  EXPECT_TRUE(Reach->Complete);
+  EXPECT_TRUE(Reach->Incomplete);
 }
 
 TEST(IncompletenessTest, ConsumingATruncatedTableTaintsTheConsumer) {

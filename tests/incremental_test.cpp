@@ -8,8 +8,8 @@
 // program, and the invalidation sweep drops exactly the dependent cone —
 // independent tables stay warm. Covers the dependency index itself,
 // Database retract/consult-atomicity/revision-clock semantics, the
-// solver's tombstone-and-revive cycle under both table representations
-// and under parallel eval workers, the SharedTableSpace retire/re-claim
+// solver's tombstone-and-revive cycle, serial and under parallel eval
+// workers, the SharedTableSpace retire/re-claim
 // protocol (including a concurrent hammer for TSan), the session/protocol
 // surface (consult, retract, tables_invalidated/tables_survived), and the
 // reset_stats interaction.
@@ -319,7 +319,7 @@ TEST(WarmSessionTest, AssertingAPreviouslyUndefinedPredicateInvalidates) {
 }
 
 //===----------------------------------------------------------------------===//
-// Warm-vs-cold bit identity under both representations and worker counts
+// Warm-vs-cold bit identity across worker counts
 //===----------------------------------------------------------------------===//
 
 /// Sorted rendered solutions of \p GoalText — the canonical fingerprint
@@ -334,52 +334,46 @@ std::vector<std::string> answersOf(AnalysisSession &S, const char *GoalText) {
 
 TEST(WarmColdIdentityTest, MutationSequenceMatchesColdSolverOnFinalProgram) {
   const char *Goals[] = {"path(a, X)", "path(X, Y)", "reach(u, X)"};
-  for (bool UseTrieTables : {true, false}) {
-    for (size_t Workers : {size_t(0), size_t(2), size_t(4)}) {
-      SCOPED_TRACE((UseTrieTables ? std::string("trie") : std::string("str")) +
-                   " workers=" + std::to_string(Workers));
-      bool PrevTrie = Solver::setDefaultUseTrieTables(UseTrieTables);
+  for (size_t Workers : {size_t(0), size_t(2), size_t(4)}) {
+    SCOPED_TRACE("workers=" + std::to_string(Workers));
 
-      AnalysisSession::Options O;
-      O.EvalWorkers = Workers;
-      AnalysisSession Warm(O);
-      std::string Base = std::string(PathProgram) +
-                         ":- table reach/2.\n"
-                         "reach(X, Y) :- link(X, Y).\n"
-                         "reach(X, Y) :- link(X, Z), reach(Z, Y).\n"
-                         "link(u, v). link(v, w).\n";
-      ASSERT_TRUE(Warm.consult(Base).hasValue());
-      for (const char *G : Goals)
-        answersOf(Warm, G); // Complete the tables under program v1.
+    AnalysisSession::Options O;
+    O.EvalWorkers = Workers;
+    AnalysisSession Warm(O);
+    std::string Base = std::string(PathProgram) +
+                       ":- table reach/2.\n"
+                       "reach(X, Y) :- link(X, Y).\n"
+                       "reach(X, Y) :- link(X, Z), reach(Z, Y).\n"
+                       "link(u, v). link(v, w).\n";
+    ASSERT_TRUE(Warm.consult(Base).hasValue());
+    for (const char *G : Goals)
+      answersOf(Warm, G); // Complete the tables under program v1.
 
-      // The mutation sequence: extend edge, retract an edge, extend link.
-      ASSERT_TRUE(Warm.consult("edge(d, e). edge(e, f).").hasValue());
-      for (const char *G : Goals)
-        answersOf(Warm, G); // Re-derive under v2 (and re-warm).
-      ASSERT_TRUE(Warm.retract("edge(a, b).").hasValue());
-      ASSERT_TRUE(Warm.consult("link(w, u).").hasValue());
+    // The mutation sequence: extend edge, retract an edge, extend link.
+    ASSERT_TRUE(Warm.consult("edge(d, e). edge(e, f).").hasValue());
+    for (const char *G : Goals)
+      answersOf(Warm, G); // Re-derive under v2 (and re-warm).
+    ASSERT_TRUE(Warm.retract("edge(a, b).").hasValue());
+    ASSERT_TRUE(Warm.consult("link(w, u).").hasValue());
 
-      // Cold solver on the final program.
-      AnalysisSession::Options CO;
-      CO.EvalWorkers = Workers;
-      AnalysisSession Cold(CO);
-      std::string Final = std::string(":- table path/2.\n"
-                                      "path(X, Y) :- edge(X, Y).\n"
-                                      "path(X, Y) :- edge(X, Z), path(Z, Y).\n"
-                                      "edge(b, c). edge(c, d).\n") +
-                          "edge(d, e). edge(e, f).\n"
-                          ":- table reach/2.\n"
-                          "reach(X, Y) :- link(X, Y).\n"
-                          "reach(X, Y) :- link(X, Z), reach(Z, Y).\n"
-                          "link(u, v). link(v, w). link(w, u).\n";
-      ASSERT_TRUE(Cold.consult(Final).hasValue());
+    // Cold solver on the final program.
+    AnalysisSession::Options CO;
+    CO.EvalWorkers = Workers;
+    AnalysisSession Cold(CO);
+    std::string Final = std::string(":- table path/2.\n"
+                                    "path(X, Y) :- edge(X, Y).\n"
+                                    "path(X, Y) :- edge(X, Z), path(Z, Y).\n"
+                                    "edge(b, c). edge(c, d).\n") +
+                        "edge(d, e). edge(e, f).\n"
+                        ":- table reach/2.\n"
+                        "reach(X, Y) :- link(X, Y).\n"
+                        "reach(X, Y) :- link(X, Z), reach(Z, Y).\n"
+                        "link(u, v). link(v, w). link(w, u).\n";
+    ASSERT_TRUE(Cold.consult(Final).hasValue());
 
-      for (const char *G : Goals)
-        EXPECT_EQ(answersOf(Warm, G), answersOf(Cold, G))
-            << "warm/cold divergence on " << G;
-
-      Solver::setDefaultUseTrieTables(PrevTrie);
-    }
+    for (const char *G : Goals)
+      EXPECT_EQ(answersOf(Warm, G), answersOf(Cold, G))
+          << "warm/cold divergence on " << G;
   }
 }
 

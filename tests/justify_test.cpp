@@ -4,7 +4,7 @@
 // Using General Purpose Logic Programming Systems" (PLDI 1996).
 //
 // The justification suite (ctest -L just): answer provenance recording
-// across both table representations and both clause-evaluation modes,
+// under both clause-evaluation modes,
 // proof-tree reconstruction (well-foundedness, cycle guard, bounded
 // elision), the null-cost disabled path, analyzer explain() entry points,
 // SLG forest export (DOT + JSON), and justification validity under the
@@ -175,20 +175,18 @@ TEST(ProofTree, SelfReferenceRendersAsCycleBackEdge) {
 }
 
 //===----------------------------------------------------------------------===//
-// Engine recording: both table representations, both evaluation modes
+// Engine recording: both evaluation modes
 //===----------------------------------------------------------------------===//
 
-class JustifyModes
-    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+/// Parameter: Options::SupplementaryTabling.
+class JustifyModes : public ::testing::TestWithParam<bool> {};
 
 TEST_P(JustifyModes, EveryAnswerJustifiedAndWellFounded) {
-  auto [Trie, Supp] = GetParam();
   SymbolTable Syms;
   Database DB(Syms);
   ASSERT_TRUE(DB.consult(PathProg).hasValue());
   Solver::Options O;
-  O.UseTrieTables = Trie;
-  O.SupplementaryTabling = Supp;
+  O.SupplementaryTabling = GetParam();
   O.RecordProvenance = true;
   Solver Engine(DB, O);
 
@@ -222,9 +220,7 @@ TEST_P(JustifyModes, EveryAnswerJustifiedAndWellFounded) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(TableRepsAndModes, JustifyModes,
-                         ::testing::Combine(::testing::Bool(),
-                                            ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(EvalModes, JustifyModes, ::testing::Bool());
 
 TEST(Justify, DisabledPathRecordsNothing) {
   SymbolTable Syms;

@@ -44,31 +44,26 @@ size_t solveText(SymbolTable &Syms, Solver &S, const char *GoalText) {
 //===----------------------------------------------------------------------===//
 
 TEST(WarmCold, RepeatedQueryHitsWarmTables) {
-  for (bool UseTrieTables : {true, false}) {
-    SCOPED_TRACE(UseTrieTables ? "trie" : "string");
-    SymbolTable Syms;
-    Database DB(Syms);
-    ASSERT_TRUE(DB.consult(PathProgram).hasValue());
-    Solver::Options Opts;
-    Opts.UseTrieTables = UseTrieTables;
-    Solver S(DB, Opts);
+  SymbolTable Syms;
+  Database DB(Syms);
+  ASSERT_TRUE(DB.consult(PathProgram).hasValue());
+  Solver S(DB);
 
-    // Cold query: every subgoal is created fresh. No query context is
-    // attached — the solver's internal sequence must scope queries on
-    // its own.
-    EXPECT_EQ(solveText(Syms, S, "path(a, X)"), 3u);
-    EXPECT_EQ(S.stats().WarmTableHits, 0u);
-    EXPECT_GT(S.stats().ColdTableMisses, 0u);
-    uint64_t Cold = S.stats().ColdTableMisses;
-    uint64_t Subgoals = S.stats().SubgoalsCreated;
+  // Cold query: every subgoal is created fresh. No query context is
+  // attached — the solver's internal sequence must scope queries on
+  // its own.
+  EXPECT_EQ(solveText(Syms, S, "path(a, X)"), 3u);
+  EXPECT_EQ(S.stats().WarmTableHits, 0u);
+  EXPECT_GT(S.stats().ColdTableMisses, 0u);
+  uint64_t Cold = S.stats().ColdTableMisses;
+  uint64_t Subgoals = S.stats().SubgoalsCreated;
 
-    // Warm re-query: answered entirely from tables completed by query 1 —
-    // warm hit, no new subgoals, no new cold misses.
-    EXPECT_EQ(solveText(Syms, S, "path(a, X)"), 3u);
-    EXPECT_GT(S.stats().WarmTableHits, 0u);
-    EXPECT_EQ(S.stats().ColdTableMisses, Cold);
-    EXPECT_EQ(S.stats().SubgoalsCreated, Subgoals);
-  }
+  // Warm re-query: answered entirely from tables completed by query 1 —
+  // warm hit, no new subgoals, no new cold misses.
+  EXPECT_EQ(solveText(Syms, S, "path(a, X)"), 3u);
+  EXPECT_GT(S.stats().WarmTableHits, 0u);
+  EXPECT_EQ(S.stats().ColdTableMisses, Cold);
+  EXPECT_EQ(S.stats().SubgoalsCreated, Subgoals);
 }
 
 TEST(WarmCold, SameQueryRehitsAreNeitherWarmNorCold) {

@@ -219,50 +219,42 @@ TEST_F(TablingTest, TableSpaceAccountingIsPositive) {
 
 TEST_F(TablingTest, CompletionReleasesScaffoldingState) {
   // On SCC completion the evaluation-only state -- clause frontiers
-  // (supplementary tables), answer dedup keys/tries, consumer links --
-  // must be freed: a completed table never gains an answer. Regression
-  // test for both table representations; tableSpaceBytes() must shrink by
-  // exactly the accounted amount (it no longer counts the freed state).
+  // (supplementary tables), answer tries, consumer links -- must be freed:
+  // a completed table never gains an answer. tableSpaceBytes() must shrink
+  // by exactly the accounted amount (it no longer counts the freed state).
   consult(R"(
     :- table path/2.
     path(X, Y) :- edge(X, Y).
     path(X, Y) :- edge(X, Z), path(Z, Y).
     edge(a, b). edge(b, c). edge(c, d). edge(d, e).
   )");
-  for (bool UseTrieTables : {true, false}) {
-    SCOPED_TRACE(UseTrieTables ? "trie" : "string");
-    Solver::Options Opts;
-    Opts.UseTrieTables = UseTrieTables;
-    Solver Local(DB, Opts);
-    auto Goal = Parser::parseTerm(Syms, Local.store(), "path(X, Y)");
-    ASSERT_TRUE(Goal.hasValue());
-    size_t N = Local.solve(*Goal, nullptr);
-    EXPECT_EQ(N, 10u); // 4-node chain: all ordered pairs.
-    ASSERT_FALSE(Local.subgoals().empty());
-    for (const Subgoal *SG : Local.subgoals()) {
-      EXPECT_TRUE(SG->Complete);
-      EXPECT_TRUE(SG->Frontiers.empty());
-      EXPECT_TRUE(SG->AnswerKeys.empty());
-      EXPECT_EQ(SG->AnswerTrie, nullptr);
-      EXPECT_TRUE(SG->Consumers.empty());
-    }
-    // The release was accounted, and the retained table space excludes it.
-    EXPECT_GT(Local.stats().FrontierBytesFreed, 0u);
-    EXPECT_GT(Local.tableSpaceBytes(), 0u);
-    // Completed tables still answer repeat calls (from the table alone).
-    size_t Again = Local.solve(*Goal, nullptr);
-    EXPECT_EQ(Again, N);
+  auto Goal = Parser::parseTerm(Syms, S.store(), "path(X, Y)");
+  ASSERT_TRUE(Goal.hasValue());
+  size_t N = S.solve(*Goal, nullptr);
+  EXPECT_EQ(N, 10u); // 4-node chain: all ordered pairs.
+  ASSERT_FALSE(S.subgoals().empty());
+  for (const Subgoal *SG : S.subgoals()) {
+    EXPECT_TRUE(SG->Complete);
+    EXPECT_TRUE(SG->Frontiers.empty());
+    EXPECT_EQ(SG->AnswerTrie, nullptr);
+    EXPECT_TRUE(SG->Consumers.empty());
   }
+  // The release was accounted, and the retained table space excludes it.
+  EXPECT_GT(S.stats().FrontierBytesFreed, 0u);
+  EXPECT_GT(S.tableSpaceBytes(), 0u);
+  // Completed tables still answer repeat calls (from the table alone).
+  size_t Again = S.solve(*Goal, nullptr);
+  EXPECT_EQ(Again, N);
 }
 
-TEST_F(TablingTest, NestedTabledCallsOnLegacyStringPath) {
-  // The legacy string-keyed table path renders call and answer keys through
-  // the solver's shared KeyScratch buffer. Nested producer runs (a tabled
-  // call made while another tabled predicate's clause body is mid-flight)
-  // interleave uses of that buffer; each use must be atomic — render, use,
-  // done — or an inner call would clobber the outer call's key. This pins
-  // the audited invariant with three levels of tabled nesting plus
-  // interleaved variant lookups.
+TEST_F(TablingTest, NestedTabledCallsKeepScratchBuffersReentrant) {
+  // recordAnswer and bindFactoredAnswer build answer tuples through the
+  // solver's shared BindScratch and RenameScratch buffers. Nested producer
+  // runs (a tabled call made while another tabled predicate's clause body
+  // is mid-flight) interleave uses of those buffers; each use must be
+  // atomic — fill, use, done — or an inner call would clobber the outer
+  // call's tuple. This pins the invariant with three levels of tabled
+  // nesting plus interleaved variant lookups.
   consult(R"(
     :- table outer/2.
     :- table mid/2.
@@ -272,14 +264,11 @@ TEST_F(TablingTest, NestedTabledCallsOnLegacyStringPath) {
     mid(X, Y) :- inner(X, Z), mid(Z, Y).
     inner(a, b). inner(b, c). inner(c, d).
   )");
-  Solver::Options Opts;
-  Opts.UseTrieTables = false;
-  Solver Legacy(DB, Opts);
-  auto Goal = Parser::parseTerm(Syms, Legacy.store(), "outer(a, Y)");
+  auto Goal = Parser::parseTerm(Syms, S.store(), "outer(a, Y)");
   ASSERT_TRUE(Goal.hasValue());
   std::set<std::string> Sols;
-  Legacy.solve(*Goal, [&]() {
-    Sols.insert(TermWriter::toString(Syms, Legacy.storeConst(), *Goal));
+  S.solve(*Goal, [&]() {
+    Sols.insert(TermWriter::toString(Syms, S.storeConst(), *Goal));
     return false;
   });
   // outer(a,Y): mid(a,Z) in {b,c,d}, then mid(Z,Y) — reachable in >= 2 steps.
@@ -287,9 +276,16 @@ TEST_F(TablingTest, NestedTabledCallsOnLegacyStringPath) {
   EXPECT_EQ(Sols, Expected);
   // Every nested table completed and deduplicated correctly: repeat query
   // is answered from the tables alone with the same solutions.
-  auto Again = Parser::parseTerm(Syms, Legacy.store(), "outer(a, W)");
+  auto Again = Parser::parseTerm(Syms, S.store(), "outer(a, W)");
   ASSERT_TRUE(Again.hasValue());
-  EXPECT_EQ(Legacy.solve(*Again, nullptr), Sols.size());
+  EXPECT_EQ(S.solve(*Again, nullptr), Sols.size());
+  // Counts over both queries, pinned: a clobbered tuple would record a
+  // wrong answer or split one variant into two.
+  const EvalStats &St = S.stats();
+  EXPECT_EQ(St.SubgoalsCreated, 9u);
+  EXPECT_EQ(St.AnswersRecorded, 11u);
+  EXPECT_EQ(St.TrieHits, 9u);
+  EXPECT_EQ(St.TrieMisses, 46u);
 }
 
 TEST_F(TablingTest, SupplementaryGoalSeesLiveVariableBoundFurther) {
@@ -307,23 +303,20 @@ TEST_F(TablingTest, SupplementaryGoalSeesLiveVariableBoundFurther) {
     t(L, M) :- q(L), r(L), w(L, M), s(L).
   )");
   std::set<std::string> Expected{"t(f(a,d),two)", "t(f(b,c),one)"};
-  for (bool Supplementary : {true, false})
-    for (bool UseTrieTables : {true, false}) {
-      SCOPED_TRACE(std::string(Supplementary ? "supp" : "sld") +
-                   (UseTrieTables ? " trie" : " str"));
-      Solver::Options Opts;
-      Opts.SupplementaryTabling = Supplementary;
-      Opts.UseTrieTables = UseTrieTables;
-      Solver Fresh(DB, Opts);
-      auto Goal = Parser::parseTerm(Syms, Fresh.store(), "t(L, M)");
-      ASSERT_TRUE(Goal.hasValue());
-      std::set<std::string> Sols;
-      Fresh.solve(*Goal, [&]() {
-        Sols.insert(TermWriter::toString(Syms, Fresh.storeConst(), *Goal));
-        return false;
-      });
-      EXPECT_EQ(Sols, Expected);
-    }
+  for (bool Supplementary : {true, false}) {
+    SCOPED_TRACE(Supplementary ? "supp" : "sld");
+    Solver::Options Opts;
+    Opts.SupplementaryTabling = Supplementary;
+    Solver Fresh(DB, Opts);
+    auto Goal = Parser::parseTerm(Syms, Fresh.store(), "t(L, M)");
+    ASSERT_TRUE(Goal.hasValue());
+    std::set<std::string> Sols;
+    Fresh.solve(*Goal, [&]() {
+      Sols.insert(TermWriter::toString(Syms, Fresh.storeConst(), *Goal));
+      return false;
+    });
+    EXPECT_EQ(Sols, Expected);
+  }
 }
 
 TEST_F(TablingTest, FrontierDedupsVariantStatesAcrossSharing) {
@@ -339,28 +332,23 @@ TEST_F(TablingTest, FrontierDedupsVariantStatesAcrossSharing) {
     r(f(g(_), _), ok).
     t(Z) :- q(X), r(X, Z).
   )");
-  for (bool UseTrieTables : {true, false}) {
-    SCOPED_TRACE(UseTrieTables ? "trie" : "string");
-    Solver::Options Opts;
-    Opts.UseTrieTables = UseTrieTables;
-    Solver Local(DB, Opts);
-    auto Goal = Parser::parseTerm(Syms, Local.store(), "t(Z)");
-    ASSERT_TRUE(Goal.hasValue());
-    EXPECT_EQ(Local.solve(*Goal, nullptr), 1u);
-    // Frontier probes: one state per level (three misses) and the second
-    // q/1 solution as the one hit. With tries on, the subgoal and its
-    // answer add one miss each.
-    const EvalStats &St = Local.stats();
-    EXPECT_EQ(St.TrieHits, 1u);
-    EXPECT_EQ(St.TrieMisses, UseTrieTables ? 5u : 3u);
-  }
+  auto Goal = Parser::parseTerm(Syms, S.store(), "t(Z)");
+  ASSERT_TRUE(Goal.hasValue());
+  EXPECT_EQ(S.solve(*Goal, nullptr), 1u);
+  // Frontier probes: one state per level (three misses) and the second
+  // q/1 solution as the one hit. The subgoal and its answer add one miss
+  // each.
+  const EvalStats &St = S.stats();
+  EXPECT_EQ(St.TrieHits, 1u);
+  EXPECT_EQ(St.TrieMisses, 5u);
 }
 
-TEST_F(TablingTest, FrontierCountsArePinnedAndIndependentOfTableMode) {
-  // Frontier levels dedup through variant codes in both table modes, so
-  // their probes and bytes match; the subgoal and answer tables add their
-  // own probes only with tries on. The trie-mode totals are pinned, so a
-  // dedup that merged non-variants or split variants would show.
+TEST_F(TablingTest, FrontierCountsArePinned) {
+  // Every variant probe is pinned -- the totals and, apart from them, the
+  // frontier levels' own share -- so a dedup that merged non-variants or
+  // split variants would show. Frontier probes were also measured alone,
+  // while a canonical-string table mode that probed only the frontiers
+  // still existed: 15 hits and 108 misses.
   consult(R"(
     :- table path/2.
     path(X, Y) :- edge(X, Y).
@@ -368,70 +356,61 @@ TEST_F(TablingTest, FrontierCountsArePinnedAndIndependentOfTableMode) {
     edge(a, b). edge(b, c). edge(c, a). edge(b, d). edge(d, a).
     link(a, a). link(b, b). link(c, c). link(d, d). link(a, d).
   )");
-  auto Run = [&](bool UseTrieTables) {
-    Solver::Options Opts;
-    Opts.UseTrieTables = UseTrieTables;
-    Solver Local(DB, Opts);
-    for (const char *G : {"path(a, Y)", "path(X, Y)", "path(X, X)"}) {
-      auto Goal = Parser::parseTerm(Syms, Local.store(), G);
-      EXPECT_TRUE(Goal.hasValue());
-      Local.solve(*Goal, nullptr);
-    }
-    return std::make_pair(Local.stats(), Local.watermarks());
-  };
-  auto [On, OnWater] = Run(true);
-  auto [Off, OffWater] = Run(false);
-  EXPECT_EQ(On.TrieHits, 28u);
-  EXPECT_EQ(On.TrieMisses, 135u);
-  EXPECT_EQ(On.SubgoalsCreated, Off.SubgoalsCreated);
-  EXPECT_EQ(On.AnswersRecorded, Off.AnswersRecorded);
-  EXPECT_EQ(On.TrieMisses,
-            Off.TrieMisses + On.SubgoalsCreated + On.AnswersRecorded);
-  EXPECT_EQ(On.TrieHits, Off.TrieHits + (On.TabledCalls - On.SubgoalsCreated) +
-                             On.AnswersDuplicate);
-  EXPECT_GT(OffWater.PeakSccFrontierBytes, 0u);
-  EXPECT_EQ(OnWater.PeakSccFrontierBytes, OffWater.PeakSccFrontierBytes);
+  for (const char *G : {"path(a, Y)", "path(X, Y)", "path(X, X)"}) {
+    auto Goal = Parser::parseTerm(Syms, S.store(), G);
+    ASSERT_TRUE(Goal.hasValue());
+    S.solve(*Goal, nullptr);
+  }
+  const EvalStats &St = S.stats();
+  EXPECT_EQ(St.TrieHits, 28u);
+  EXPECT_EQ(St.TrieMisses, 135u);
+  EXPECT_EQ(St.SubgoalsCreated, 3u);
+  EXPECT_EQ(St.AnswersRecorded, 24u);
+  EXPECT_EQ(St.TabledCalls, 10u);
+  EXPECT_EQ(St.AnswersDuplicate, 6u);
+  // Subgoal-trie hits are repeat tabled calls and answer-trie hits are
+  // duplicate answers; every created subgoal and recorded answer was one
+  // miss. The rest are frontier probes.
+  EXPECT_EQ(St.TrieHits - (St.TabledCalls - St.SubgoalsCreated) -
+                St.AnswersDuplicate,
+            15u);
+  EXPECT_EQ(St.TrieMisses - St.SubgoalsCreated - St.AnswersRecorded, 108u);
+  EXPECT_GT(S.watermarks().PeakSccFrontierBytes, 0u);
 }
 
 TEST_F(TablingTest, ResetStatsLeavesTableAccountingIntact) {
   // resetStats() zeroes the run counters — including FrontierBytesFreed,
   // which feeds the "frontier_bytes_freed" metric — but tableSpaceBytes()
   // is derived from the live tables and must not move. Regression for the
-  // interaction after SCC completion, both table representations.
+  // interaction after SCC completion.
   consult(R"(
     :- table path/2.
     path(X, Y) :- edge(X, Y).
     path(X, Y) :- edge(X, Z), path(Z, Y).
     edge(a, b). edge(b, c). edge(c, d). edge(d, e).
   )");
-  for (bool UseTrieTables : {true, false}) {
-    SCOPED_TRACE(UseTrieTables ? "trie" : "string");
-    Solver::Options Opts;
-    Opts.UseTrieTables = UseTrieTables;
-    Solver Local(DB, Opts);
-    auto Goal = Parser::parseTerm(Syms, Local.store(), "path(X, Y)");
-    ASSERT_TRUE(Goal.hasValue());
-    size_t N = Local.solve(*Goal, nullptr);
-    EXPECT_EQ(N, 10u);
-    size_t Bytes = Local.tableSpaceBytes();
-    EXPECT_GT(Bytes, 0u);
-    EXPECT_GT(Local.stats().FrontierBytesFreed, 0u);
+  auto Goal = Parser::parseTerm(Syms, S.store(), "path(X, Y)");
+  ASSERT_TRUE(Goal.hasValue());
+  size_t N = S.solve(*Goal, nullptr);
+  EXPECT_EQ(N, 10u);
+  size_t Bytes = S.tableSpaceBytes();
+  EXPECT_GT(Bytes, 0u);
+  EXPECT_GT(S.stats().FrontierBytesFreed, 0u);
 
-    Local.resetStats();
-    EXPECT_EQ(Local.stats().FrontierBytesFreed, 0u);
-    EXPECT_EQ(Local.stats().IncompleteTables, 0u);
-    EXPECT_EQ(Local.tableSpaceBytes(), Bytes);
+  S.resetStats();
+  EXPECT_EQ(S.stats().FrontierBytesFreed, 0u);
+  EXPECT_EQ(S.stats().IncompleteTables, 0u);
+  EXPECT_EQ(S.tableSpaceBytes(), Bytes);
 
-    // A repeat query answers from the completed tables: no new subgoals,
-    // no new scaffolding to free, accounting unchanged.
-    EXPECT_EQ(Local.solve(*Goal, nullptr), N);
-    EXPECT_EQ(Local.stats().FrontierBytesFreed, 0u);
-    EXPECT_EQ(Local.stats().SubgoalsCreated, 0u);
-    EXPECT_EQ(Local.tableSpaceBytes(), Bytes);
+  // A repeat query answers from the completed tables: no new subgoals,
+  // no new scaffolding to free, accounting unchanged.
+  EXPECT_EQ(S.solve(*Goal, nullptr), N);
+  EXPECT_EQ(S.stats().FrontierBytesFreed, 0u);
+  EXPECT_EQ(S.stats().SubgoalsCreated, 0u);
+  EXPECT_EQ(S.tableSpaceBytes(), Bytes);
 
-    Local.clearTables();
-    EXPECT_LT(Local.tableSpaceBytes(), Bytes);
-  }
+  S.clearTables();
+  EXPECT_LT(S.tableSpaceBytes(), Bytes);
 }
 
 TEST_F(TablingTest, FindSubgoalByVariant) {

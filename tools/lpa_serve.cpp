@@ -17,7 +17,9 @@
 //             [--dump-dir PATH] [--metrics-interval-ms N]
 //
 // Structured logs (JSON lines) go to stderr; protocol responses to the
-// client. Exit: 0 on a clean "shutdown" verb or EOF, 2 on usage errors.
+// client. Exit: 0 on a clean "shutdown" verb or EOF, 2 on usage errors
+// (an unknown flag, or a numeric flag that is negative, has trailing
+// characters, or is out of range).
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,9 +27,11 @@
 #include "srv/Protocol.h"
 #include "srv/Session.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -38,6 +42,22 @@
 using namespace lpa;
 
 namespace {
+
+/// Upper bound on --eval-workers: far above any useful pool size, low
+/// enough that per-worker allocations stay small.
+constexpr size_t MaxEvalWorkers = 256;
+
+/// Parses all of \p Text as an unsigned decimal no larger than \p Max.
+/// Signs, empty text, trailing characters and overflow all fail.
+template <typename T>
+bool parseUnsigned(std::string_view Text, T Max, T &Out) {
+  T V{};
+  auto [End, Err] = std::from_chars(Text.data(), Text.data() + Text.size(), V);
+  if (Err != std::errc() || End != Text.data() + Text.size() || V > Max)
+    return false;
+  Out = V;
+  return true;
+}
 
 int usage(const char *Argv0) {
   std::fprintf(stderr,
@@ -50,7 +70,7 @@ int usage(const char *Argv0) {
                "per query)\n"
                "  --sample-hz N     background sampling profiler rate (0)\n"
                "  --eval-workers N  intra-query parallel eval workers "
-               "(0 = serial)\n"
+               "(0 = serial, at most 256)\n"
                "  --slow-ms MS      slow-query capture threshold in ms\n"
                "                    (0 = adaptive vs rolling p95, the "
                "default; -1 = off)\n"
@@ -169,9 +189,12 @@ int main(int argc, char **argv) {
     } else if (A == "--record-costs") {
       SO.RecordCosts = true;
     } else if (A == "--sample-hz" && I + 1 < argc) {
-      SO.SampleHz = static_cast<uint32_t>(std::strtoul(argv[++I], nullptr, 10));
+      if (!parseUnsigned(argv[++I], std::numeric_limits<uint32_t>::max(),
+                         SO.SampleHz))
+        return usage(argv[0]);
     } else if (A == "--eval-workers" && I + 1 < argc) {
-      SO.EvalWorkers = std::strtoul(argv[++I], nullptr, 10);
+      if (!parseUnsigned(argv[++I], MaxEvalWorkers, SO.EvalWorkers))
+        return usage(argv[0]);
     } else if (A == "--slow-ms" && I + 1 < argc) {
       SO.SlowLog.ThresholdMs = std::strtod(argv[++I], nullptr);
     } else if (A == "--slowlog-dir" && I + 1 < argc) {
@@ -179,7 +202,9 @@ int main(int argc, char **argv) {
     } else if (A == "--dump-dir" && I + 1 < argc) {
       SO.Recorder.DumpDir = argv[++I];
     } else if (A == "--metrics-interval-ms" && I + 1 < argc) {
-      SO.History.IntervalMs = std::strtoull(argv[++I], nullptr, 10);
+      if (!parseUnsigned(argv[++I], std::numeric_limits<uint64_t>::max(),
+                         SO.History.IntervalMs))
+        return usage(argv[0]);
     } else {
       return usage(argv[0]);
     }
