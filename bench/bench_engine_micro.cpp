@@ -12,7 +12,7 @@
 
 #include "bench/BenchUtil.h"
 #include "engine/Solver.h"
-#include "obs/FlightRecorder.h"
+#include "obs/EvalObserver.h"
 #include "reader/Parser.h"
 #include "term/TermCopy.h"
 #include "term/Unify.h"
@@ -286,14 +286,17 @@ void BM_RecordAnswerProvenance(benchmark::State &State) {
 }
 BENCHMARK(BM_RecordAnswerProvenance)->Arg(0)->Arg(1);
 
-/// A/B ablation of per-subgoal cost recording (Options::RecordCosts) on
-/// the same complete-digraph closure: with a profile attached, every
-/// producer switch reads the steady clock and every derivation step /
-/// answer insert / answer consume bumps a per-subgoal record (steps
-/// batched: one clock read per 64). Arg: 1 = recording on, 0 = off (the
-/// null-cost path — one pointer test per hook). Arg 0 pins the disabled
-/// path: it must not regress when cost hooks change.
-void BM_CostRecord(benchmark::State &State) {
+/// A/B ablation of the engine observer on the same complete-digraph
+/// closure. Arg 0: no observer and no query context (the batch default;
+/// one pointer test per event site). Arg 1: a daemon-session-shaped
+/// observer — a tracer with no sink, a metrics registry, a sampling cursor
+/// nobody reads, a flight recorder and a cost profile — plus a query
+/// context whose deadline is armed but unreachable. The delta is the full
+/// cost of the telemetry a session keeps attached (per-predicate counters,
+/// seqlock publishes, clock reads at producer switches, decimated
+/// deadline checks); Arg 0 pins the detached path, which must not regress
+/// when event hooks change.
+void BM_EvalObserver(benchmark::State &State) {
   const int N = 12;
   std::string Prog = ":- table path/2.\n"
                      "path(X, Y) :- edge(X, Y).\n"
@@ -305,77 +308,24 @@ void BM_CostRecord(benchmark::State &State) {
   SymbolTable Syms;
   Database DB(Syms);
   (void)DB.consult(Prog);
-  Solver::Options EO;
-  EO.RecordCosts = State.range(0) != 0;
-  for (auto _ : State) {
-    Solver Engine(DB, EO);
-    auto G = Parser::parseTerm(Syms, Engine.store(), "path(X, Y)");
-    size_t Sols = Engine.solve(*G, nullptr);
-    benchmark::DoNotOptimize(Sols);
-  }
-  State.SetItemsProcessed(State.iterations() * 4 * N * N);
-}
-BENCHMARK(BM_CostRecord)->Arg(0)->Arg(1);
-
-/// A/B ablation of the sampling-profiler cursor (Solver::setSampleCursor)
-/// on the same complete-digraph closure: with a cursor attached, every
-/// producer run brackets a seqlock frame push/pop and every recorded
-/// answer publishes the table gauges. Arg: 1 = cursor attached (publish
-/// cost, nobody sampling), 0 = detached (the null-cost path — one pointer
-/// test per hook, the always-on default). The delta bounds the worst-case
-/// publish overhead independent of any Sampler thread.
-void BM_CursorPublish(benchmark::State &State) {
-  const int N = 12;
-  std::string Prog = ":- table path/2.\n"
-                     "path(X, Y) :- edge(X, Y).\n"
-                     "path(X, Y) :- edge(X, Z), path(Z, Y).\n";
-  for (int I = 0; I < N; ++I)
-    for (int J = 0; J < N; ++J)
-      Prog += "edge(" + std::to_string(I) + ", " + std::to_string(J) +
-              ").\n";
-  SymbolTable Syms;
-  Database DB(Syms);
-  (void)DB.consult(Prog);
+  Tracer Trace;
+  MetricsRegistry Metrics;
   EvalCursor Cursor;
-  for (auto _ : State) {
-    Solver Engine(DB);
-    if (State.range(0) != 0)
-      Engine.setSampleCursor(&Cursor);
-    auto G = Parser::parseTerm(Syms, Engine.store(), "path(X, Y)");
-    size_t Sols = Engine.solve(*G, nullptr);
-    benchmark::DoNotOptimize(Sols);
-  }
-  State.SetItemsProcessed(State.iterations() * 4 * N * N);
-}
-BENCHMARK(BM_CursorPublish)->Arg(0)->Arg(1);
-
-/// A/B ablation of the service QueryContext (Solver::setQueryContext) on
-/// the same complete-digraph closure: with a context attached, the
-/// outermost solve opens a query scope (id publish to tracer/cursor) and
-/// — when the context carries a deadline — every resolution step pays a
-/// decimated clock check. Arg: 0 = detached (the batch default; one
-/// pointer test at query open), 1 = attached with an unreachable deadline
-/// (the daemon's steady state: full deadline-polling cost, never firing).
-/// The delta is what query-scoped telemetry costs an analysis that never
-/// asked for it — the number the ISSUE requires to stay at noise level.
-void BM_QueryContextPublish(benchmark::State &State) {
-  const int N = 12;
-  std::string Prog = ":- table path/2.\n"
-                     "path(X, Y) :- edge(X, Y).\n"
-                     "path(X, Y) :- edge(X, Z), path(Z, Y).\n";
-  for (int I = 0; I < N; ++I)
-    for (int J = 0; J < N; ++J)
-      Prog += "edge(" + std::to_string(I) + ", " + std::to_string(J) +
-              ").\n";
-  SymbolTable Syms;
-  Database DB(Syms);
-  (void)DB.consult(Prog);
+  FlightRecorder Recorder;
+  CostProfile Costs;
+  EvalObserver Obs;
+  Obs.Trace = &Trace;
+  Obs.Metrics = &Metrics;
+  Obs.Cursor = &Cursor;
+  Obs.Recorder = &Recorder;
+  Obs.Costs = &Costs;
   QueryContext Ctx;
   Ctx.DeadlineNs = ~uint64_t(0); // Armed but unreachable.
   for (auto _ : State) {
     Solver Engine(DB);
     if (State.range(0) != 0) {
       ++Ctx.Id;
+      Engine.setObserver(&Obs);
       Engine.setQueryContext(&Ctx);
     }
     auto G = Parser::parseTerm(Syms, Engine.store(), "path(X, Y)");
@@ -384,33 +334,7 @@ void BM_QueryContextPublish(benchmark::State &State) {
   }
   State.SetItemsProcessed(State.iterations() * 4 * N * N);
 }
-BENCHMARK(BM_QueryContextPublish)->Arg(0)->Arg(1);
-
-/// A/B ablation of the flight recorder's per-event cost. Every engine and
-/// session hook is written `if (Recorder) Recorder->record(...)` — Arg 0
-/// measures exactly that disabled shape (a guarded null pointer the
-/// optimizer cannot hoist), Arg 1 the attached path: one steady-clock
-/// read plus a POD store into the bounded ring (no allocation once the
-/// ring is built, which is what makes the recorder safe to leave always
-/// on). The Arg-0 lane must stay at noise level — that is the ISSUE's
-/// null-cost acceptance gate.
-void BM_FlightRecorderRecord(benchmark::State &State) {
-  FlightRecorder::Options O;
-  O.Capacity = 256;
-  FlightRecorder Ring(O);
-  FlightRecorder *Recorder = State.range(0) != 0 ? &Ring : nullptr;
-  benchmark::DoNotOptimize(Recorder);
-  uint64_t QueryId = 0;
-  for (auto _ : State) {
-    ++QueryId;
-    if (Recorder)
-      Recorder->record(FrEventKind::QueryEnd, QueryId, /*A=*/3, /*B=*/2,
-                       /*C=*/1, /*Flags=*/0, "path(a, X)");
-    benchmark::DoNotOptimize(QueryId);
-  }
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_FlightRecorderRecord)->Arg(0)->Arg(1);
+BENCHMARK(BM_EvalObserver)->Arg(0)->Arg(1);
 
 void BM_TabledFib(benchmark::State &State) {
   const char *Prog = ":- table fib/2.\n"

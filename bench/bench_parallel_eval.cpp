@@ -27,7 +27,7 @@
 #include "bench/BenchUtil.h"
 #include "corpus/Corpus.h"
 #include "engine/Solver.h"
-#include "obs/FlightRecorder.h"
+#include "obs/EvalObserver.h"
 #include "par/CorpusScheduler.h"
 #include "prop/Groundness.h"
 #include "reader/Parser.h"
@@ -93,7 +93,9 @@ ChainRun runChains(const std::string &Program, size_t K, size_t Workers,
   Solver Engine(DB, O);
   // The identity check must hold with the recorder attached — the daemon
   // never runs without it, so neither do the arms being certified.
-  Engine.setFlightRecorder(Recorder);
+  EvalObserver Obs;
+  Obs.Recorder = Recorder;
+  Engine.setObserver(Obs.empty() ? nullptr : &Obs);
 
   std::vector<TermRef> Calls;
   for (size_t C = 0; C < K; ++C) {

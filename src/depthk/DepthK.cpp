@@ -7,8 +7,8 @@
 
 #include "depthk/DepthK.h"
 
+#include "obs/EvalObserver.h"
 #include "obs/Provenance.h"
-#include "obs/Span.h"
 #include "reader/Parser.h"
 #include "support/Stopwatch.h"
 #include "table/VariantCode.h"
@@ -46,9 +46,9 @@ namespace {
 class AbsInterp {
 public:
   AbsInterp(SymbolTable &Symbols, const Database &DB,
-            const DepthKAnalyzer::Options &Opts)
+            const DepthKAnalyzer::Options &Opts, EvalObserver *Obs)
       : Symbols(Symbols), DB(DB), Domain(Symbols, Opts.Depth), Opts(Opts),
-        StateSym(Symbols.intern("$state")) {
+        Obs(Obs), StateSym(Symbols.intern("$state")) {
     if (Opts.RecordProvenance)
       Prov = std::make_unique<ProvenanceArena>();
   }
@@ -163,6 +163,7 @@ private:
   const Database &DB;
   AbstractDomain Domain;
   DepthKAnalyzer::Options Opts;
+  EvalObserver *Obs; ///< Null when no channel is attached.
 
   TermStore Heap;
   TermStore Tables;
@@ -237,11 +238,8 @@ AbsInterp::Entry &AbsInterp::ensureEntry(PredKey Pred, TermRef Call) {
   E.Ordinal = static_cast<uint32_t>(Order.size());
   Table.emplace(E.Key, std::move(Owned));
   Order.push_back(&E);
-  if (Opts.Trace)
-    Opts.Trace->emit(TraceEventKind::SubgoalNew, Pred.Sym, Pred.Arity,
-                     Order.size());
-  if (Opts.Metrics)
-    ++Opts.Metrics->pred(Symbols, Pred.Sym, Pred.Arity).NewSubgoals;
+  if (Obs)
+    Obs->subgoalNew(Symbols, Pred.Sym, Pred.Arity, Order.size());
   enqueue(E);
   return E;
 }
@@ -357,10 +355,8 @@ void AbsInterp::solveGoal(Entry &Producer, TermRef G, const Fn &OnSolution) {
 void AbsInterp::recordAnswer(Entry &E, TermRef AnsPattern, uint32_t ClauseIdx,
                              const std::vector<ProvPremise> *Premises) {
   auto NoteDup = [&]() {
-    if (Opts.Trace)
-      Opts.Trace->emit(TraceEventKind::AnswerDup, E.Pred.Sym, E.Pred.Arity);
-    if (Opts.Metrics)
-      ++Opts.Metrics->pred(Symbols, E.Pred.Sym, E.Pred.Arity).DupAnswers;
+    if (Obs)
+      Obs->answerDup(Symbols, E.Pred.Sym, E.Pred.Arity);
   };
   if (E.Widened) {
     // Check subsumption against the widened pattern(s); only genuinely
@@ -381,18 +377,14 @@ void AbsInterp::recordAnswer(Entry &E, TermRef AnsPattern, uint32_t ClauseIdx,
     NoteDup();
     return;
   }
-  if (Opts.Trace)
-    Opts.Trace->emit(TraceEventKind::AnswerNew, E.Pred.Sym, E.Pred.Arity,
-                     E.Answers.size() + 1);
-  if (Opts.Metrics)
-    ++Opts.Metrics->pred(Symbols, E.Pred.Sym, E.Pred.Arity).NewAnswers;
   TermRef Stored = copyTerm(Heap, AnsPattern, Tables);
   E.AnswerKeys.insert(std::move(AKey));
   E.Answers.push_back(Stored);
   ++AnswersRecorded;
-  if (Opts.Cursor)
-    Opts.Cursor->setGauges(Tables.memoryBytes(), AnswersRecorded,
-                           Order.size());
+  if (Obs)
+    Obs->answerNew(Symbols, E.Pred.Sym, E.Pred.Arity, E.Ordinal,
+                   E.Answers.size(), Tables.memoryBytes(), AnswersRecorded,
+                   Order.size());
   if (Prov)
     Prov->record(E.Ordinal, E.Answers.size() - 1, ClauseIdx,
                  Premises ? std::span<const ProvPremise>(*Premises)
@@ -427,16 +419,15 @@ void AbsInterp::runEntry(Entry &E) {
   ++ProducerRuns;
   // The worklist makes entry runs non-nested, so the published stack is a
   // single frame; the sampler still sees which predicate is being re-run.
-  if (Opts.Cursor)
-    Opts.Cursor->pushFrame(E.Pred.Sym, E.Pred.Arity);
+  if (Obs)
+    Obs->producerEnter(E.Pred.Sym, E.Pred.Arity, E.Ordinal,
+                       /*Resumed=*/false);
 
   for (size_t ClauseIdx = 0; ClauseIdx < P->Clauses.size(); ++ClauseIdx) {
     const Clause &C = P->Clauses[ClauseIdx];
-    if (Opts.Trace)
-      Opts.Trace->emit(TraceEventKind::ClauseResolve, E.Pred.Sym,
-                       E.Pred.Arity);
-    if (Opts.Metrics)
-      ++Opts.Metrics->pred(Symbols, E.Pred.Sym, E.Pred.Arity).Resolutions;
+    if (Obs)
+      Obs->clauseResolve(Symbols, E.Pred.Sym, E.Pred.Arity,
+                         /*ProducerStep=*/false);
     auto M = Heap.mark();
     TermRef Call = copyTerm(Tables, E.CallTuple, Heap);
     TermRef Delta = DB.instantiate(C, Heap);
@@ -512,8 +503,8 @@ void AbsInterp::runEntry(Entry &E) {
       Heap.undoTo(M2);
     }
   }
-  if (Opts.Cursor)
-    Opts.Cursor->popFrame();
+  if (Obs)
+    Obs->producerExit();
 }
 
 void AbsInterp::drainWorklist() {
@@ -583,7 +574,9 @@ ErrorOr<DepthKResult> DepthKAnalyzer::analyze(std::string_view Source) {
   Stopwatch Phase;
 
   //--- Preprocessing: read + load the concrete program. -------------------
-  ScopedSpan PreprocSpan(Opts.Trace, Opts.Metrics, "transform");
+  EvalObserver Obs{
+      .Trace = Opts.Trace, .Metrics = Opts.Metrics, .Cursor = Opts.Cursor};
+  EvalObserver::Span PreprocSpan(Obs, "transform");
   Database DB(Symbols);
   auto Loaded = DB.consult(Source);
   if (!Loaded)
@@ -593,8 +586,8 @@ ErrorOr<DepthKResult> DepthKAnalyzer::analyze(std::string_view Source) {
 
   //--- Analysis: abstract interpretation to fixpoint. ---------------------
   Phase.restart();
-  ScopedSpan EvalSpan(Opts.Trace, Opts.Metrics, "evaluate");
-  AbsInterp Interp(Symbols, DB, Opts);
+  EvalObserver::Span EvalSpan(Obs, "evaluate");
+  AbsInterp Interp(Symbols, DB, Opts, Obs.empty() ? nullptr : &Obs);
   for (PredKey Pred : DB.predicates())
     Interp.analyzePredicate(Pred);
   Result.AnalysisSeconds = Phase.elapsedSeconds();
@@ -615,7 +608,7 @@ ErrorOr<DepthKResult> DepthKAnalyzer::analyze(std::string_view Source) {
 
   //--- Collection. ---------------------------------------------------------
   Phase.restart();
-  ScopedSpan CollectSpan(Opts.Trace, Opts.Metrics, "collect");
+  EvalObserver::Span CollectSpan(Obs, "collect");
   Result.TableSpaceBytes = Interp.tableSpaceBytes();
   Result.NumCallPatterns = Interp.entries().size();
   Result.NumAnswers = Interp.numAnswers();
@@ -692,7 +685,9 @@ ErrorOr<std::string> DepthKAnalyzer::explain(std::string_view Source,
 
   Options EO = Opts;
   EO.RecordProvenance = true;
-  AbsInterp Interp(Symbols, DB, EO);
+  EvalObserver Obs{
+      .Trace = Opts.Trace, .Metrics = Opts.Metrics, .Cursor = Opts.Cursor};
+  AbsInterp Interp(Symbols, DB, EO, Obs.empty() ? nullptr : &Obs);
   PredKey Target{};
   bool Found = false;
   for (PredKey P : DB.predicates()) {

@@ -109,18 +109,14 @@ public:
     /// than misattributed. Null-cost when off.
     bool RecordProvenance = false;
 
-    /// Observability (both optional, caller-owned): the tracer sees
-    /// subgoal/answer events from the abstract interpreter plus the
-    /// transform/evaluate/collect phase spans; the registry receives
-    /// per-predicate entry/answer counts, table bytes, and the
-    /// producer-run / widening counters.
+    /// Observation channels (optional, caller-owned): the abstract
+    /// interpreter reports its entry, answer and clause events and its
+    /// entry runs (as cursor frames) through the same EvalObserver events
+    /// as the engine. Tracer and registry also see the transform/evaluate/
+    /// collect phases, the registry the table bytes and the producer-run
+    /// and widening counters.
     Tracer *Trace = nullptr;
     MetricsRegistry *Metrics = nullptr;
-
-    /// Sampling-profiler cursor (optional, caller-owned). The abstract
-    /// interpreter has its own worklist rather than a Solver, so it
-    /// publishes its entry (re-)runs as cursor frames itself; a background
-    /// Sampler then profiles depth-k jobs the same way as SLG jobs.
     EvalCursor *Cursor = nullptr;
   };
 

@@ -7,6 +7,7 @@
 
 #include "engine/Solver.h"
 
+#include "obs/EvalObserver.h"
 #include "reader/Parser.h"
 #include "term/TermCopy.h"
 #include "term/TermWriter.h"
@@ -104,20 +105,11 @@ Solver::Solver(Database &DB, Options Opts)
     : DB(DB), Symbols(DB.symbols()), Opts(Opts), Builtins(DB.symbols()) {
   if (this->Opts.RecordProvenance)
     Prov = std::make_unique<ProvenanceArena>();
-  if (this->Opts.RecordCosts) {
-    OwnedCosts = std::make_unique<CostProfile>();
-    Costs = OwnedCosts.get();
-  }
   // Intern every symbol evaluation tests up front: the symbol table is
   // shared across parallel eval workers and interning mutates it, so no
   // eval path may intern.
   StateSym = Symbols.intern("$state");
   ArrowSym = Symbols.intern("->");
-  if (this->Opts.EvalWorkers > 1) {
-    WorkerCursors.reserve(this->Opts.EvalWorkers);
-    for (size_t I = 0; I < this->Opts.EvalWorkers; ++I)
-      WorkerCursors.push_back(std::make_unique<EvalCursor>());
-  }
 }
 
 const Solver::GoalNode *Solver::makeGoal(TermRef Goal, const GoalNode *Tail) {
@@ -153,12 +145,8 @@ size_t Solver::solve(TermRef Goal, const SolutionFn &OnSolution) {
     CurQueryId = (Query && Query->Id) ? Query->Id : ++QuerySeq;
     DeadlineExpired = false;
     DeadlineTick = 0;
-    if (Trace)
-      Trace->setQuery(CurQueryId);
-    if (Cursor)
-      Cursor->setQueryId(CurQueryId);
-    if (Costs)
-      Costs->beginQuery(CurQueryId);
+    if (Obs)
+      Obs->queryBegin(CurQueryId);
     // Intra-query parallelism: an outermost conjunction of independent
     // tabled goals is primed in parallel first; the ordinary serial search
     // below then runs entirely against warm tables. primeTables re-checks
@@ -181,7 +169,8 @@ size_t Solver::solve(TermRef Goal, const SolutionFn &OnSolution) {
   // Goal nodes are only reachable during the query; recycle them when no
   // producer is active (i.e. this was an outermost query).
   if (ProducerStack.empty() && CompletionStack.empty()) {
-    if (Costs) Costs->endQuery();
+    if (Obs)
+      Obs->queryEnd();
     GoalArena.clear();
   }
   return Count;
@@ -241,26 +230,51 @@ size_t ClauseFrontier::memoryBytes() const {
   return Bytes;
 }
 
+namespace {
+
+/// \p SG's answer dedup trie (released at completion).
+size_t dedupBytes(const Subgoal &SG) {
+  size_t Bytes = 0;
+  if (SG.AnswerTrie)
+    Bytes += sizeof(TermTrie) + SG.AnswerTrie->memoryBytes();
+  if (SG.SharedAnswerTrie)
+    Bytes += sizeof(ConcurrentTermTrie) + SG.SharedAnswerTrie->memoryBytes();
+  return Bytes;
+}
+
+/// \p SG's answer table: the dedup trie plus the answer vectors.
+size_t answerTableBytes(const Subgoal &SG) {
+  return dedupBytes(SG) +
+         (SG.Answers.capacity() + SG.AnswerBindings.capacity()) *
+             sizeof(TermRef) +
+         SG.AnswerSeq.capacity() * sizeof(uint64_t);
+}
+
+/// \p SG's live supplementary frontiers (released at completion).
+size_t frontierBytes(const Subgoal &SG) {
+  size_t Bytes = 0;
+  for (const auto &CF : SG.Frontiers)
+    if (CF)
+      Bytes += CF->memoryBytes();
+  return Bytes;
+}
+
+/// The subgoal record with its answer table and frontiers; its term cells
+/// in the table store are counted apart.
+size_t recordBytes(const Subgoal &SG) {
+  return sizeof(Subgoal) + SG.CallVars.capacity() * sizeof(TermRef) +
+         answerTableBytes(SG) + frontierBytes(SG);
+}
+
+} // namespace
+
 size_t Solver::tableSpaceBytes() const {
   // The paper's "Table space" column: memory held by call and answer
   // tables. We count the table store's cells, the tries, the answer
   // vectors and the per-subgoal records.
   size_t Bytes = Tables.memoryBytes();
-  for (const Subgoal *SG : SubgoalOrder) {
-    Bytes += sizeof(Subgoal);
-    Bytes += SG->CallVars.capacity() * sizeof(TermRef);
-    Bytes += SG->Answers.capacity() * sizeof(TermRef);
-    Bytes += SG->AnswerBindings.capacity() * sizeof(TermRef);
-    Bytes += SG->AnswerSeq.capacity() * sizeof(uint64_t);
-    if (SG->AnswerTrie)
-      Bytes += sizeof(TermTrie) + SG->AnswerTrie->memoryBytes();
-    if (SG->SharedAnswerTrie)
-      Bytes +=
-          sizeof(ConcurrentTermTrie) + SG->SharedAnswerTrie->memoryBytes();
-    for (const auto &CF : SG->Frontiers)
-      if (CF)
-        Bytes += CF->memoryBytes();
-  }
+  for (const Subgoal *SG : SubgoalOrder)
+    Bytes += recordBytes(*SG);
   Bytes += SubgoalTrie.memoryBytes();
   // Provenance survives completion (the frontiers it was distilled from do
   // not), so its arena is table space, not evaluation scratch.
@@ -292,23 +306,11 @@ size_t Solver::subgoalMemoryBytes(const Subgoal &SG) const {
   // term cells in the shared table store (call +
   // answers, measured via the TermStore arena), and any live
   // supplementary frontiers.
-  size_t Bytes = sizeof(Subgoal);
-  Bytes += SG.CallVars.capacity() * sizeof(TermRef);
-  Bytes += SG.Answers.capacity() * sizeof(TermRef);
-  Bytes += SG.AnswerBindings.capacity() * sizeof(TermRef);
-  Bytes += SG.AnswerSeq.capacity() * sizeof(uint64_t);
-  if (SG.AnswerTrie)
-    Bytes += sizeof(TermTrie) + SG.AnswerTrie->memoryBytes();
-  if (SG.SharedAnswerTrie)
-    Bytes += sizeof(ConcurrentTermTrie) + SG.SharedAnswerTrie->memoryBytes();
-  Bytes += Tables.termBytes(SG.CallTerm);
+  size_t Bytes = recordBytes(SG) + Tables.termBytes(SG.CallTerm);
   for (TermRef Ans : SG.Answers)
     Bytes += Tables.termBytes(Ans);
   for (TermRef B : SG.AnswerBindings)
     Bytes += Tables.termBytes(B);
-  for (const auto &CF : SG.Frontiers)
-    if (CF)
-      Bytes += CF->memoryBytes();
   return Bytes;
 }
 
@@ -440,17 +442,7 @@ Solver::invalidateDependents(std::span<const PredKey> Changed) {
     // frontier-release discipline frees at completion. Term cells stay in
     // the table arena until clearTables() — the arena has no per-term
     // free — which tableSpaceBytes() keeps counting honestly.
-    size_t Freed = SG->Answers.capacity() * sizeof(TermRef) +
-                   SG->AnswerBindings.capacity() * sizeof(TermRef) +
-                   SG->AnswerSeq.capacity() * sizeof(uint64_t);
-    if (SG->AnswerTrie)
-      Freed += sizeof(TermTrie) + SG->AnswerTrie->memoryBytes();
-    if (SG->SharedAnswerTrie)
-      Freed +=
-          sizeof(ConcurrentTermTrie) + SG->SharedAnswerTrie->memoryBytes();
-    for (const auto &CF : SG->Frontiers)
-      if (CF)
-        Freed += CF->memoryBytes();
+    size_t Freed = answerTableBytes(*SG) + frontierBytes(*SG);
     SG->Answers.clear();
     SG->Answers.shrink_to_fit();
     SG->AnswerBindings.clear();
@@ -639,6 +631,10 @@ void Solver::runParallelPrime(const std::vector<TermRef> &Seeds) {
   // The space lives on the lead's stack for exactly one phase; worker
   // solvers coordinate through it and die before it does.
   SharedTableSpace Space;
+  // A worker reports through its own cursor only (its tables reach the
+  // lead by import, its counters by EvalStats); without one it runs
+  // detached.
+  std::vector<EvalObserver> WorkerObs(NumWorkers);
   std::vector<std::unique_ptr<Solver>> Workers;
   Workers.reserve(NumWorkers);
   for (size_t I = 0; I < NumWorkers; ++I) {
@@ -650,8 +646,10 @@ void Solver::runParallelPrime(const std::vector<TermRef> &Seeds) {
     WS->SharedWorkerId = static_cast<uint32_t>(I);
     WS->AnswerJoins = AnswerJoins;
     WS->Query = Query; // Deadlines bound workers exactly like the lead.
-    if (I < WorkerCursors.size())
-      WS->Cursor = WorkerCursors[I].get();
+    if (Obs && I < Obs->WorkerCursors.size()) {
+      WorkerObs[I].Cursor = Obs->WorkerCursors[I];
+      WS->Obs = &WorkerObs[I];
+    }
     Workers.push_back(std::move(WS));
   }
 
@@ -784,9 +782,8 @@ void Solver::fillSubgoalFromPublished(
   SG.Incomplete = PT.Incomplete;
   if (PT.Incomplete) {
     ++Stats.IncompleteTables; // Taint crosses the worker boundary.
-    if (Recorder)
-      Recorder->noteIncompleteTable(CurQueryId, SG.Ordinal,
-                                    Symbols.name(SG.Pred.Sym));
+    if (Obs)
+      Obs->incompleteTable(Symbols, SG.Pred.Sym, CurQueryId, SG.Ordinal);
   }
   SG.SccId = ++SccCounter;
   SG.CompletionSeq = ++CompletionCounter;
@@ -819,8 +816,8 @@ void Solver::importPublishedTable(
   ++Stats.TrieMisses;
   ++Stats.SubgoalsCreated;
   ++Stats.SharedTablesImported;
-  if (Metrics)
-    ++Metrics->pred(Symbols, PT.Sym, PT.Arity).NewSubgoals;
+  if (Obs)
+    Obs->subgoalImported(Symbols, PT.Sym, PT.Arity);
   auto Owned = std::make_unique<Subgoal>();
   Subgoal &SG = *Owned;
   SG.Pred = {PT.Sym, PT.Arity};
@@ -852,8 +849,8 @@ Solver::Signal Solver::solveGoals(const GoalNode *Goals, size_t Depth,
     // completion cannot certify its answer set as the minimal model.
     if (!ProducerStack.empty())
       ProducerStack.back()->Incomplete = true;
-    if (Trace)
-      Trace->emit(TraceEventKind::DepthLimit, 0, 0, Depth);
+    if (Obs)
+      Obs->depthLimit(Depth);
     return Signal::exhausted();
   }
   if (Query && Query->DeadlineNs) {
@@ -861,10 +858,8 @@ Solver::Signal Solver::solveGoals(const GoalNode *Goals, size_t Depth,
         steadyNowNs() >= Query->DeadlineNs) {
       DeadlineExpired = true;
       ++Stats.DeadlineHits;
-      if (Trace)
-        Trace->emit(TraceEventKind::DeadlineExpired, 0, 0, Depth);
-      if (Recorder)
-        Recorder->noteDeadlineHit(CurQueryId, Depth);
+      if (Obs)
+        Obs->deadline(CurQueryId, Depth);
     }
     if (DeadlineExpired) {
       // Same soundness discipline as the depth limit: every branch the
@@ -898,8 +893,8 @@ Solver::Signal Solver::solveCall(TermRef Goal, const GoalNode *Rest,
   BuiltinKind BK = Builtins.classify(Sym, Arity);
   if (BK != BuiltinKind::None) {
     ++Stats.BuiltinEvals;
-    if (Trace)
-      Trace->emit(TraceEventKind::BuiltinEval, Sym, Arity);
+    if (Obs)
+      Obs->builtin(Sym, Arity);
     return solveBuiltin(BK, Goal, Rest, Depth, CutLevel, OnSolution);
   }
 
@@ -933,11 +928,7 @@ Solver::Signal Solver::solveNontabled(const Predicate &P, TermRef Goal,
       ++Stats.ClauseIndexFiltered;
       continue;
     }
-    ++Stats.ClauseResolutions;
-    if (Metrics)
-      ++Metrics->pred(Symbols, P.Key.Sym, P.Key.Arity).Resolutions;
-    if (Trace)
-      Trace->emit(TraceEventKind::ClauseResolve, P.Key.Sym, P.Key.Arity);
+    noteClauseResolve(P.Key, /*ProducerStep=*/false);
 
     auto M = Heap.mark();
     TermRef Delta = DB.instantiate(C, Heap);
@@ -973,28 +964,20 @@ void Solver::setAnswerJoin(PredKey Pred, AnswerJoinFn Join) {
 bool Solver::recordAnswer(Subgoal &SG, TermRef Instance) {
   auto NoteDuplicate = [&]() {
     ++Stats.AnswersDuplicate;
-    if (Metrics)
-      ++Metrics->pred(Symbols, SG.Pred.Sym, SG.Pred.Arity).DupAnswers;
-    if (Trace)
-      Trace->emit(TraceEventKind::AnswerDup, SG.Pred.Sym, SG.Pred.Arity);
+    if (Obs)
+      Obs->answerDup(Symbols, SG.Pred.Sym, SG.Pred.Arity);
   };
   auto NoteRecorded = [&]() {
     ++Stats.AnswersRecorded;
-    if (Costs)
-      Costs->noteAnswerInserted(SG.Ordinal);
     // Term-store watermark: memoryBytes() is O(1) (two capacity reads), so
     // every recorded answer refreshes the exact peak.
     size_t StoreBytes = Tables.memoryBytes();
     if (StoreBytes > Water.PeakTermStoreBytes)
       Water.PeakTermStoreBytes = StoreBytes;
-    if (Cursor)
-      Cursor->setGauges(StoreBytes, Stats.AnswersRecorded,
-                        Stats.SubgoalsCreated);
-    if (Metrics)
-      ++Metrics->pred(Symbols, SG.Pred.Sym, SG.Pred.Arity).NewAnswers;
-    if (Trace)
-      Trace->emit(TraceEventKind::AnswerNew, SG.Pred.Sym, SG.Pred.Arity,
-                  SG.AnswerSeq.size());
+    if (Obs)
+      Obs->answerNew(Symbols, SG.Pred.Sym, SG.Pred.Arity, SG.Ordinal,
+                     SG.AnswerSeq.size(), StoreBytes, Stats.AnswersRecorded,
+                     Stats.SubgoalsCreated);
   };
 
   // Aggregated predicates keep a single joined answer per subgoal.
@@ -1219,84 +1202,21 @@ void Solver::solveSemiGoal(TermRef G, uint64_t MinSeq,
   }
 
   // Tabled: consume (a slice of) the answer table.
-  ++Stats.TabledCalls;
-  if (Metrics)
-    ++Metrics->pred(Symbols, Key.Sym, Key.Arity).Calls;
-  if (Trace)
-    Trace->emit(TraceEventKind::TabledCall, Key.Sym, Key.Arity);
   std::vector<TermRef> GoalVars;
-  size_t NSubgoals = SubgoalOwned.size();
-  Subgoal &SG = ensureSubgoal(G, Key, GoalVars);
-  // Same warm/cold accounting as solveTabled (the supplementary path is
-  // just the other consumer of tabled answers).
-  if (SG.Ordinal >= NSubgoals) {
-    ++Stats.ColdTableMisses;
-    if (Metrics)
-      ++Metrics->pred(Symbols, Key.Sym, Key.Arity).ColdMisses;
-  } else if (SG.Complete && SG.CompletedInQuery != CurQueryId) {
-    ++Stats.WarmTableHits;
-    if (Metrics)
-      ++Metrics->pred(Symbols, Key.Sym, Key.Arity).WarmHits;
-    if (Costs)
-      Costs->noteWarmHit(SG.Ordinal);
-  }
-  if (!SG.Complete && !ProducerStack.empty()) {
-    Subgoal *Parent = ProducerStack.back();
-    Parent->MinLink = std::min(Parent->MinLink, SG.MinLink);
-    SG.Consumers.insert(Parent);
-  }
-  // Consuming a truncated table taints the consumer: its answers derive
-  // from a possibly-partial premise set.
-  if (SG.Incomplete && !ProducerStack.empty())
-    ProducerStack.back()->Incomplete = true;
-  if (!ProducerStack.empty())
-    addDepEdge(ProducerStack.back()->Ordinal, SG.Ordinal);
+  Subgoal &SG = callTabled(G, Key, GoalVars);
   // AnswerSeq is strictly increasing: jump straight to the new slice.
   size_t Start =
       std::upper_bound(SG.AnswerSeq.begin(), SG.AnswerSeq.end(), MinSeq) -
       SG.AnswerSeq.begin();
-  if (SG.Factored) {
-    // Substitution factoring: bind the goal's variables to the stored
-    // binding tuple directly -- no instance copy, no unification.
-    for (size_t I = Start; I < SG.AnswerSeq.size(); ++I) {
-      auto M = Heap.mark();
-      bindFactoredAnswer(SG, I, GoalVars);
-      if (Costs)
-        Costs->noteAnswerConsumed(SG.Ordinal);
-      if (Prov)
-        PremiseStack.push_back({SG.Ordinal, static_cast<uint32_t>(I)});
-      OnSolution();
-      if (Prov)
-        PremiseStack.pop_back();
-      Heap.undoTo(M);
-    }
-    return;
-  }
-  for (size_t I = Start; I < SG.Answers.size(); ++I) {
-    auto M = Heap.mark();
-    TermRef Ans = copyTerm(Tables, SG.Answers[I], Heap);
-    if (unify(Heap, G, Ans, /*OccursCheck=*/false)) {
-      if (Costs)
-        Costs->noteAnswerConsumed(SG.Ordinal);
-      if (Prov)
-        PremiseStack.push_back({SG.Ordinal, static_cast<uint32_t>(I)});
-      OnSolution();
-      if (Prov)
-        PremiseStack.pop_back();
-    }
-    Heap.undoTo(M);
-  }
+  returnAnswers(SG, Start, G, GoalVars, [&] {
+    OnSolution();
+    return false;
+  });
 }
 
 void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
                                     size_t ClauseIdx, size_t NumClauses) {
-  ++Stats.ClauseResolutions;
-  if (Costs)
-    Costs->noteStep();
-  if (Metrics)
-    ++Metrics->pred(Symbols, SG.Pred.Sym, SG.Pred.Arity).Resolutions;
-  if (Trace)
-    Trace->emit(TraceEventKind::ClauseResolve, SG.Pred.Sym, SG.Pred.Arity);
+  noteClauseResolve(SG.Pred, /*ProducerStep=*/true);
   size_t NumGoals = C.Body.size();
 
   if (SG.Frontiers.size() < NumClauses)
@@ -1498,13 +1418,7 @@ bool Solver::runProducer(Subgoal &SG) {
 
     // Impure clause (cut/negation/...): tuple-at-a-time SLD, with one cut
     // barrier shared across the producer's clause alternatives.
-    ++Stats.ClauseResolutions;
-    if (Costs)
-      Costs->noteStep();
-    if (Metrics)
-      ++Metrics->pred(Symbols, SG.Pred.Sym, SG.Pred.Arity).Resolutions;
-    if (Trace)
-      Trace->emit(TraceEventKind::ClauseResolve, SG.Pred.Sym, SG.Pred.Arity);
+    noteClauseResolve(SG.Pred, /*ProducerStep=*/true);
     auto M2 = Heap.mark();
     TermRef Delta = DB.instantiate(C, Heap);
     Signal S = Signal::exhausted();
@@ -1592,26 +1506,13 @@ size_t Solver::releaseCompletedState(Subgoal &SG) {
   // Frontiers, consumer links and answer dedup structures only serve
   // evaluation; a completed table never gains an answer, so release them
   // and account the shrink (tableSpaceBytes drops by the same amount).
-  size_t FrontierBytes = 0;
-  for (const auto &CF : SG.Frontiers)
-    if (CF)
-      FrontierBytes += CF->memoryBytes();
-  size_t Freed = FrontierBytes;
-  size_t DedupBytes = 0;
-  if (SG.AnswerTrie)
-    DedupBytes += sizeof(TermTrie) + SG.AnswerTrie->memoryBytes();
-  if (SG.SharedAnswerTrie)
-    DedupBytes +=
-        sizeof(ConcurrentTermTrie) + SG.SharedAnswerTrie->memoryBytes();
-  Freed += DedupBytes;
-  Freed += SG.Consumers.size() * sizeof(void *) * 2;
+  size_t FrontierBytes = frontierBytes(SG);
+  size_t Freed = FrontierBytes + dedupBytes(SG) +
+                 SG.Consumers.size() * sizeof(void *) * 2;
   // An answer table only grows until completion, so its footprint here is
-  // its lifetime peak: the dedup structure just measured plus the answer
-  // vectors that survive completion.
-  size_t AnswerBytes = DedupBytes +
-                       SG.Answers.capacity() * sizeof(TermRef) +
-                       SG.AnswerBindings.capacity() * sizeof(TermRef) +
-                       SG.AnswerSeq.capacity() * sizeof(uint64_t);
+  // its lifetime peak: the dedup structure plus the answer vectors that
+  // survive completion.
+  size_t AnswerBytes = answerTableBytes(SG);
   if (AnswerBytes > Water.PeakSubgoalAnswerBytes)
     Water.PeakSubgoalAnswerBytes = AnswerBytes;
   SG.Frontiers.clear();
@@ -1646,11 +1547,8 @@ Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
   ++Stats.TrieMisses;
 
   ++Stats.SubgoalsCreated;
-  if (Metrics)
-    ++Metrics->pred(Symbols, Key.Sym, Key.Arity).NewSubgoals;
-  if (Trace)
-    Trace->emit(TraceEventKind::SubgoalNew, Key.Sym, Key.Arity,
-                SubgoalOrder.size() + 1);
+  if (Obs)
+    Obs->subgoalNew(Symbols, Key.Sym, Key.Arity, SubgoalOrder.size() + 1);
   auto Owned = std::make_unique<Subgoal>();
   Subgoal &SG = *Owned;
   SG.Pred = Key;
@@ -1718,16 +1616,13 @@ void Solver::reviveSubgoal(Subgoal &SG) {
     else
       SG.AnswerTrie = std::make_unique<TermTrie>();
   }
-  // A revival is a cold re-derivation. The caller-side ordinal check in
-  // solveTabled/solveSemiGoal cannot see it (the ordinal is old), so the
-  // cold miss is counted here; the two paths are disjoint by construction.
+  // A revival is a cold re-derivation. The ordinal check in callTabled
+  // cannot see it (the ordinal is old), so the cold miss is counted here;
+  // the two paths are disjoint by construction.
   ++Stats.TablesRevived;
   ++Stats.ColdTableMisses;
-  if (Metrics)
-    ++Metrics->pred(Symbols, SG.Pred.Sym, SG.Pred.Arity).ColdMisses;
-  if (Trace)
-    Trace->emit(TraceEventKind::SubgoalNew, SG.Pred.Sym, SG.Pred.Arity,
-                SG.Ordinal + 1);
+  if (Obs)
+    Obs->subgoalRevived(Symbols, SG.Pred.Sym, SG.Pred.Arity, SG.Ordinal);
 }
 
 void Solver::driveSubgoal(Subgoal &SG) {
@@ -1737,19 +1632,9 @@ void Solver::driveSubgoal(Subgoal &SG) {
   CompletionStack.push_back(&SG);
 
   // Initial producer run. Dependencies on incomplete subgoals found during
-  // the run lower SG.MinLink (see solveTabled).
+  // the run lower SG.MinLink (see callTabled).
   SG.Dirty = false;
-  ProducerStack.push_back(&SG);
-  if (Cursor)
-    Cursor->pushFrame(SG.Pred.Sym, SG.Pred.Arity);
-  if (Costs)
-    Costs->pushFrame(SG.Ordinal);
-  runProducer(SG);
-  if (Costs)
-    Costs->popFrame();
-  if (Cursor)
-    Cursor->popFrame();
-  ProducerStack.pop_back();
+  runProducerFrame(SG, /*Resumed=*/false);
 
   if (SG.MinLink == SG.Dfn) {
     // SG leads its SCC. Re-run members (the stack from SG upward, which
@@ -1766,19 +1651,7 @@ void Solver::driveSubgoal(Subgoal &SG) {
           continue;
         Member->Dirty = false;
         Any = true;
-        ProducerStack.push_back(Member);
-        if (Cursor)
-          Cursor->pushFrame(Member->Pred.Sym, Member->Pred.Arity);
-        if (Costs) {
-          Costs->pushFrame(Member->Ordinal);
-          Costs->noteResumption(Member->Ordinal);
-        }
-        runProducer(*Member);
-        if (Costs)
-          Costs->popFrame();
-        if (Cursor)
-          Cursor->popFrame();
-        ProducerStack.pop_back();
+        runProducerFrame(*Member, /*Resumed=*/true);
       }
     }
     // Incompleteness is an SCC-wide property: members feed each other
@@ -1790,8 +1663,8 @@ void Solver::driveSubgoal(Subgoal &SG) {
     // Forest bookkeeping: members completing together form one SCC; the
     // global completion sequence orders tables by when they closed.
     ++SccCounter;
-    if (Cursor)
-      Cursor->setPhase(EvalPhase::Complete);
+    if (Obs)
+      Obs->phase(EvalPhase::Complete);
     // The outermost completion is where live table space is maximal (every
     // frontier of the batch is still allocated); walk the tables once
     // before releasing so PeakTableSpaceBytes sees the pre-free footprint.
@@ -1807,9 +1680,9 @@ void Solver::driveSubgoal(Subgoal &SG) {
       if (SCCIncomplete) {
         Member->Incomplete = true;
         ++Stats.IncompleteTables;
-        if (Recorder)
-          Recorder->noteIncompleteTable(CurQueryId, Member->Ordinal,
-                                        Symbols.name(Member->Pred.Sym));
+        if (Obs)
+          Obs->incompleteTable(Symbols, Member->Pred.Sym, CurQueryId,
+                               Member->Ordinal);
       }
       Member->Complete = true;
       Member->OnStack = false;
@@ -1821,53 +1694,60 @@ void Solver::driveSubgoal(Subgoal &SG) {
         Member->SharedClaim = nullptr;
         ++Stats.SharedPublishes;
       }
+      // Report before the release below: the cost profile wants the
+      // table's footprint with its dedup structures.
+      if (Obs)
+        Obs->subgoalComplete(Symbols, Member->Pred.Sym, Member->Pred.Arity,
+                             Member->Ordinal, answerCount(*Member), [&] {
+                               return subgoalMemoryBytes(*Member);
+                             });
       // Producers never re-run once complete; release the supplementary
       // tables and answer dedup structures.
-      if (Costs)
-        Costs->noteTableBytes(Member->Ordinal, subgoalMemoryBytes(*Member));
       SccFrontierBytes += releaseCompletedState(*Member);
-      if (Metrics)
-        ++Metrics->pred(Symbols, Member->Pred.Sym, Member->Pred.Arity)
-              .Completions;
-      if (Trace)
-        Trace->emit(TraceEventKind::SubgoalComplete, Member->Pred.Sym,
-                    Member->Pred.Arity, answerCount(*Member));
     }
     if (SccFrontierBytes > Water.PeakSccFrontierBytes)
       Water.PeakSccFrontierBytes = SccFrontierBytes;
     CompletionStack.resize(SG.StackPos);
-    if (Cursor)
-      Cursor->setPhase(ProducerStack.empty() ? EvalPhase::Idle
-                                             : EvalPhase::Resolve);
+    if (Obs)
+      Obs->phase(ProducerStack.empty() ? EvalPhase::Idle : EvalPhase::Resolve);
   }
 }
 
-Solver::Signal Solver::solveTabled(const Predicate &P, TermRef Goal,
-                                   const GoalNode *Rest, size_t Depth,
-                                   uint64_t CutLevel,
-                                   const SolutionFn &OnSolution) {
+void Solver::runProducerFrame(Subgoal &SG, bool Resumed) {
+  ProducerStack.push_back(&SG);
+  if (Obs)
+    Obs->producerEnter(SG.Pred.Sym, SG.Pred.Arity, SG.Ordinal, Resumed);
+  runProducer(SG);
+  if (Obs)
+    Obs->producerExit();
+  ProducerStack.pop_back();
+}
+
+void Solver::noteClauseResolve(PredKey Key, bool ProducerStep) {
+  ++Stats.ClauseResolutions;
+  if (Obs)
+    Obs->clauseResolve(Symbols, Key.Sym, Key.Arity, ProducerStep);
+}
+
+Subgoal &Solver::callTabled(TermRef Goal, PredKey Key,
+                            std::vector<TermRef> &GoalVars) {
   ++Stats.TabledCalls;
-  if (Metrics)
-    ++Metrics->pred(Symbols, P.Key.Sym, P.Key.Arity).Calls;
-  if (Trace)
-    Trace->emit(TraceEventKind::TabledCall, P.Key.Sym, P.Key.Arity);
-  std::vector<TermRef> GoalVars;
+  if (Obs)
+    Obs->tabledCall(Symbols, Key.Sym, Key.Arity);
   size_t NSubgoals = SubgoalOwned.size();
-  Subgoal &SG = ensureSubgoal(Goal, P.Key, GoalVars);
+  Subgoal &SG = ensureSubgoal(Goal, Key, GoalVars);
   // Warm/cold accounting: a variant that had to be created is a cold
   // miss; one completed by an *earlier* query is a warm hit (the reuse a
   // long-lived service banks on). Re-hits within the producing query are
   // neither — that is ordinary fixpoint traffic.
   if (SG.Ordinal >= NSubgoals) {
     ++Stats.ColdTableMisses;
-    if (Metrics)
-      ++Metrics->pred(Symbols, P.Key.Sym, P.Key.Arity).ColdMisses;
+    if (Obs)
+      Obs->tableCold(Symbols, Key.Sym, Key.Arity);
   } else if (SG.Complete && SG.CompletedInQuery != CurQueryId) {
     ++Stats.WarmTableHits;
-    if (Metrics)
-      ++Metrics->pred(Symbols, P.Key.Sym, P.Key.Arity).WarmHits;
-    if (Costs)
-      Costs->noteWarmHit(SG.Ordinal);
+    if (Obs)
+      Obs->tableWarm(Symbols, Key.Sym, Key.Arity, SG.Ordinal);
   }
 
   // Record the SCC dependency of the producer that issued this call, and
@@ -1883,55 +1763,63 @@ Solver::Signal Solver::solveTabled(const Predicate &P, TermRef Goal,
     ProducerStack.back()->Incomplete = true;
   if (!ProducerStack.empty())
     addDepEdge(ProducerStack.back()->Ordinal, SG.Ordinal);
+  return SG;
+}
+
+Solver::Signal Solver::solveTabled(const Predicate &P, TermRef Goal,
+                                   const GoalNode *Rest, size_t Depth,
+                                   uint64_t CutLevel,
+                                   const SolutionFn &OnSolution) {
+  std::vector<TermRef> GoalVars;
+  Subgoal &SG = callTabled(Goal, P.Key, GoalVars);
 
   // Answer-return phase: this consumer now replays the table into its
   // continuation. The next producer frame push flips back to Resolve.
-  if (Cursor)
-    Cursor->setPhase(EvalPhase::Answer);
-  // Consume answers. The index re-reads size() so answers added while this
-  // consumer is active (fixpoint rounds of an enclosing SCC) are picked up;
-  // answers added after we return are replayed by producer re-runs.
-  if (SG.Factored) {
-    // Substitution factoring: the goal is a variant of the tabled call,
-    // so its free variables (in first-occurrence order) correspond 1:1 to
+  if (Obs)
+    Obs->phase(EvalPhase::Answer);
+  Signal S = Signal::exhausted();
+  returnAnswers(SG, 0, Goal, GoalVars, [&] {
+    S = solveGoals(Rest, Depth + 1, CutLevel, OnSolution);
+    return S.K != Signal::Exhausted;
+  });
+  return S;
+}
+
+template <typename ContFn>
+void Solver::returnAnswers(const Subgoal &SG, size_t Start, TermRef Goal,
+                           const std::vector<TermRef> &GoalVars,
+                           ContFn &&Cont) {
+  // The index re-reads size() so answers added while this consumer is
+  // active (fixpoint rounds of an enclosing SCC) are picked up; answers
+  // added after it returns are replayed by producer re-runs.
+  for (size_t I = Start; I < SG.AnswerSeq.size(); ++I) {
+    auto M = Heap.mark();
+    // Substitution factoring: the goal is a variant of the tabled call, so
+    // its free variables (in first-occurrence order) correspond 1:1 to
     // CallVars; binding them to the stored tuple needs no instance copy
     // and no unification.
-    for (size_t I = 0; I < SG.AnswerSeq.size(); ++I) {
-      auto M = Heap.mark();
+    bool Bound = true;
+    if (SG.Factored)
       bindFactoredAnswer(SG, I, GoalVars);
-      if (Costs)
-        Costs->noteAnswerConsumed(SG.Ordinal);
+    else
+      Bound = unify(Heap, Goal, copyTerm(Tables, SG.Answers[I], Heap),
+                    /*OccursCheck=*/false);
+    bool Stop = false;
+    if (Bound) {
+      if (Obs)
+        Obs->answerConsumed(SG.Ordinal);
       // The consumed answer rides the premise stack while the continuation
       // runs: any answer recorded downstream lists it as a premise.
       if (Prov)
         PremiseStack.push_back({SG.Ordinal, static_cast<uint32_t>(I)});
-      Signal S = solveGoals(Rest, Depth + 1, CutLevel, OnSolution);
-      if (Prov)
-        PremiseStack.pop_back();
-      Heap.undoTo(M);
-      if (S.K != Signal::Exhausted)
-        return S;
-    }
-    return Signal::exhausted();
-  }
-  for (size_t I = 0; I < SG.Answers.size(); ++I) {
-    auto M = Heap.mark();
-    TermRef Ans = copyTerm(Tables, SG.Answers[I], Heap);
-    Signal S = Signal::exhausted();
-    if (unify(Heap, Goal, Ans, /*OccursCheck=*/false)) {
-      if (Costs)
-        Costs->noteAnswerConsumed(SG.Ordinal);
-      if (Prov)
-        PremiseStack.push_back({SG.Ordinal, static_cast<uint32_t>(I)});
-      S = solveGoals(Rest, Depth + 1, CutLevel, OnSolution);
+      Stop = Cont();
       if (Prov)
         PremiseStack.pop_back();
     }
     Heap.undoTo(M);
-    if (S.K != Signal::Exhausted)
-      return S;
+    if (Stop)
+      return;
   }
-  return Signal::exhausted();
 }
 
 //===----------------------------------------------------------------------===//
@@ -1987,39 +1875,28 @@ ForestGraph Solver::exportForest() const {
   G.Edges = DepEdges;
   // Flame-view annotation: when a cost profile is attached, nodes the
   // current/last query touched carry their self-vs-cumulative split.
-  if (Costs) {
-    CostSummary CS = exportCostSummary();
-    for (const CostNode &C : CS.Nodes) {
-      if (C.Ordinal >= G.Nodes.size())
-        continue;
-      ForestNode &F = G.Nodes[C.Ordinal];
-      F.HasCost = true;
-      F.CostWarm = C.Warm;
-      F.CostSelfNs = C.SelfNs;
-      F.CostCumNs = C.CumNs;
-      F.CostSteps = C.Steps;
-      F.CostAnswersConsumed = C.AnswersConsumed;
-      F.CostResumptions = C.Resumptions;
-    }
-  }
+  for (const CostNode &C : exportCostSummary().Nodes)
+    if (C.Ordinal < G.Nodes.size())
+      G.Nodes[C.Ordinal].Cost = C;
   return G;
 }
 
 CostSummary Solver::exportCostSummary() const {
   CostSummary S;
-  if (!Costs)
+  const CostProfile *CP = Obs ? Obs->Costs : nullptr;
+  if (!CP)
     return S;
-  S.QueryId = Costs->queryId();
-  S.QueryWallNs = Costs->queryWallNs();
-  S.AttributedNs = Costs->attributedNs();
-  S.RootNs = Costs->rootNs();
-  S.RootSteps = Costs->rootSteps();
+  S.QueryId = CP->queryId();
+  S.QueryWallNs = CP->queryWallNs();
+  S.AttributedNs = CP->attributedNs();
+  S.RootNs = CP->rootNs();
+  S.RootSteps = CP->rootSteps();
   // Touched is first-touch ordered, so a parent's node index is always
   // assigned before any child needs to look it up.
   std::unordered_map<uint32_t, uint32_t> NodeOf;
-  NodeOf.reserve(Costs->touched().size());
-  for (uint32_t Ord : Costs->touched()) {
-    const CostProfile::Record *R = Costs->record(Ord);
+  NodeOf.reserve(CP->touched().size());
+  for (uint32_t Ord : CP->touched()) {
+    const CostProfile::Record *R = CP->record(Ord);
     if (!R || Ord >= SubgoalOrder.size())
       continue;
     const Subgoal &SG = *SubgoalOrder[Ord];

@@ -31,12 +31,9 @@
 #include "engine/Builtins.h"
 #include "engine/Database.h"
 #include "obs/CostProfile.h"
-#include "obs/FlightRecorder.h"
 #include "obs/Forest.h"
 #include "obs/Metrics.h"
 #include "obs/Provenance.h"
-#include "obs/Sampler.h"
-#include "obs/Trace.h"
 #include "par/ThreadPool.h"
 #include "table/ConcurrentTrie.h"
 #include "table/DependencyIndex.h"
@@ -56,6 +53,8 @@
 #include <vector>
 
 namespace lpa {
+
+class EvalObserver;
 
 /// Identity and budget of one top-level query against a long-lived solver.
 /// The service layer (src/srv) allocates one per protocol request and
@@ -335,19 +334,9 @@ public:
     /// premise answers — (subgoal, answer-index) pairs — its derivation
     /// consumed, in a per-solver ProvenanceArena (src/obs). Also records
     /// the subgoal dependency edges backing exportForest(). Off by
-    /// default: like the tracer, every hook then reduces to a null-pointer
-    /// test and the arena is never allocated.
+    /// default: every hook then reduces to a null-pointer test and the
+    /// arena is never allocated.
     bool RecordProvenance = false;
-    /// Accumulate per-subgoal evaluation costs (wall ns, derivation steps,
-    /// answer traffic, resumptions, table bytes, warm/cold origin) into an
-    /// owned CostProfile — the `explain` verb's data source. Costs are
-    /// pure observation: evaluation order and answer sets are untouched,
-    /// so serial-vs-parallel fingerprints stay bit-identical with
-    /// recording on. Off by default: every hook then reduces to one
-    /// null-pointer test (pinned by the BM_CostRecord A/B micro) and no
-    /// profile is allocated. A caller-owned profile can also be attached
-    /// per query via setCostProfile.
-    bool RecordCosts = false;
     /// Intra-query parallelism: 0 or 1 evaluates serially; N > 1 lets an
     /// outermost solve() (or an explicit primeTables() call) dispatch
     /// independent tabled seed goals to N pool workers that share one
@@ -434,13 +423,6 @@ public:
   /// parallel phase).
   ThreadPool::PoolStats evalPoolStats() const {
     return EvalPool ? EvalPool->stats() : ThreadPool::PoolStats{};
-  }
-
-  /// Per-worker sampling cursors (one per eval worker, allocated in the
-  /// constructor when EvalWorkers > 1 so sampler lanes can bind to stable
-  /// addresses before any parallel phase runs). Empty in serial mode.
-  const std::vector<std::unique_ptr<EvalCursor>> &workerCursors() const {
-    return WorkerCursors;
   }
 
   /// @}
@@ -548,8 +530,8 @@ public:
   /// re-evaluating a goal whose subgoals are already complete reports zero
   /// SubgoalsCreated/AnswersRecorded (the answers replay from the tables)
   /// while TabledCalls still counts the table hits. For a from-scratch
-  /// measurement call clearTables() as well. Attached observability
-  /// (tracer/metrics) is unaffected. The invalidation counters
+  /// measurement call clearTables() as well. An attached observer is
+  /// unaffected. The invalidation counters
   /// (TablesInvalidated/TablesSurvived/TablesRevived) reset with the rest
   /// — they are per-window like every EvalStats field; tables already
   /// tombstoned stay tombstoned (resetStats never revives or drops state),
@@ -557,63 +539,26 @@ public:
   /// ServiceStats.
   void resetStats() { Stats = EvalStats(); }
 
-  /// \name Observability (src/obs): tracing and per-predicate metrics.
+  /// \name Observability (src/obs).
   /// @{
 
-  /// Attaches an event tracer and/or a metrics registry; either may be
-  /// null. The caller keeps ownership and both must outlive the solver or
-  /// be detached (pass nullptr) first. With both detached — the default —
-  /// every instrumentation hook reduces to a null pointer test.
-  void setObservability(Tracer *T, MetricsRegistry *M) {
-    Trace = T;
-    Metrics = M;
-  }
-  Tracer *tracer() const { return Trace; }
-  MetricsRegistry *metrics() const { return Metrics; }
-
-  /// Attaches (or, with nullptr, detaches) the sampling-profiler cursor:
-  /// the solver then publishes its producer stack, evaluation phase and
-  /// table gauges through \p C for a background Sampler to read. Same
-  /// ownership and cost contract as the tracer — the detached path is one
-  /// null test per hook (pinned by BM_CursorPublish), and a publish is a
-  /// few relaxed atomic stores. The cursor must outlive its attachment.
-  void setSampleCursor(EvalCursor *C) { Cursor = C; }
-  EvalCursor *sampleCursor() const { return Cursor; }
+  /// Attaches (or, with nullptr, detaches) the observer every engine
+  /// event is reported to (obs/EvalObserver.h, DESIGN.md §8). Observation
+  /// never changes evaluation. The caller keeps the observer alive while
+  /// attached and changes its channels only between solve() calls; eval
+  /// workers report to EvalObserver::WorkerCursors.
+  void setObserver(EvalObserver *O) { Obs = O; }
+  EvalObserver *observer() const { return Obs; }
 
   /// Attaches (or, with nullptr, detaches) the query context consulted at
   /// each outermost solve(): its Id scopes trace events, sampler stacks
   /// and warm-hit accounting; its DeadlineNs bounds the search (see
-  /// QueryContext). Same ownership contract as the other hooks — the
-  /// caller keeps the context alive across the queries it covers, and may
-  /// mutate it *between* (never during) solve() calls. Detached-path cost
-  /// is pinned by the BM_QueryContextPublish A/B micro.
+  /// QueryContext). Unlike the observer it changes results (a deadline
+  /// truncates tables). The caller keeps the context alive across the
+  /// queries it covers, and may mutate it *between* (never during) solve()
+  /// calls.
   void setQueryContext(const QueryContext *Q) { Query = Q; }
   const QueryContext *queryContext() const { return Query; }
-
-  /// Attaches (or, with nullptr, detaches) the flight recorder the solver
-  /// journals anomalies into: deadline expiry, incomplete-table
-  /// completions, and cross-worker taint imports. Request-granular — the
-  /// recorder sees at most a handful of events per query, never per-SLG
-  /// traffic. Same ownership and cost contract as the other hooks: the
-  /// detached path is one null test per site, pinned by the
-  /// BM_FlightRecorderRecord A/B micro.
-  void setFlightRecorder(FlightRecorder *R) { Recorder = R; }
-  FlightRecorder *flightRecorder() const { return Recorder; }
-
-  /// Attaches (or, with nullptr, detaches) a caller-owned cost profile:
-  /// the solver then charges per-subgoal costs through it exactly as
-  /// Options::RecordCosts would through the owned one (attaching replaces
-  /// the owned profile for as long as the attachment lasts; detaching
-  /// restores it). The service layer uses this to record costs for an
-  /// `explain` query only, against a solver built without RecordCosts.
-  /// Same ownership and cost contract as the other hooks; must only be
-  /// swapped *between* solve() calls.
-  void setCostProfile(CostProfile *CP) {
-    Costs = CP ? CP : OwnedCosts.get();
-  }
-  /// The active profile (owned or attached), or nullptr when recording is
-  /// off.
-  CostProfile *costProfile() const { return Costs; }
 
   /// Id of the query the solver is serving (or last served): the attached
   /// context's Id, else the internal outermost-solve sequence number.
@@ -664,11 +609,12 @@ public:
   /// is on), SCC membership, completion order and Incomplete taint.
   ForestGraph exportForest() const;
 
-  /// One query's cost attribution (the active profile's current/last
-  /// query), with predicate names, call labels and SCC ids resolved and
-  /// cumulative times computed over the first-touch tree; per-predicate
-  /// and per-SCC rollups sorted by self time. Empty when no profile is
-  /// active. See obs/CostProfile.h for the attribution discipline.
+  /// One query's cost attribution (the attached observer's cost profile,
+  /// current/last query), with predicate names, call labels and SCC ids
+  /// resolved and cumulative times computed over the first-touch tree;
+  /// per-predicate and per-SCC rollups sorted by self time. Empty when no
+  /// profile is attached. See obs/CostProfile.h for the attribution
+  /// discipline.
   CostSummary exportCostSummary() const;
 
   /// Validates every recorded justification against the live answer
@@ -769,6 +715,29 @@ private:
   /// nontabled and *undefined* callees — asserting a predicate that calls
   /// failed against must still invalidate the tables that saw it fail.
   void recordPredDependency(PredKey Callee);
+
+  /// The shared head of every tabled call (solveTabled and the
+  /// supplementary path's solveSemiGoal): counts the call, finds or drives
+  /// the subgoal (see ensureSubgoal), does the warm/cold accounting, and
+  /// links the calling producer to it (SCC dependency, answer
+  /// subscription, Incomplete taint, dependency edge).
+  Subgoal &callTabled(TermRef Goal, PredKey Key,
+                      std::vector<TermRef> &GoalVars);
+
+  /// Returns answers \p Start.. of \p SG to the consumer \p Goal (whose
+  /// free variables are \p GoalVars), each under its own heap mark, and
+  /// runs \p Cont on each; \p Cont returns true to stop.
+  template <typename ContFn>
+  void returnAnswers(const Subgoal &SG, size_t Start, TermRef Goal,
+                     const std::vector<TermRef> &GoalVars, ContFn &&Cont);
+
+  /// Counts one clause resolution of \p Key and reports it;
+  /// \p ProducerStep charges it to the running producer's cost frame.
+  void noteClauseResolve(PredKey Key, bool ProducerStep);
+
+  /// One producer run of \p SG with its frame on the producer stack (and
+  /// the observer's); \p Resumed marks a fixpoint re-run.
+  void runProducerFrame(Subgoal &SG, bool Resumed);
 
   /// Records \p Instance (resolved call in Heap) as an answer of \p SG.
   bool recordAnswer(Subgoal &SG, TermRef Instance);
@@ -892,21 +861,10 @@ private:
   std::vector<std::unique_ptr<GoalNode>> GoalArena;
   EvalStats Stats;
 
-  /// Observability hooks (null when detached; see setObservability).
-  Tracer *Trace = nullptr;
-  MetricsRegistry *Metrics = nullptr;
-  /// Sampling-profiler cursor (null when detached; see setSampleCursor).
-  EvalCursor *Cursor = nullptr;
+  /// Observer (null when detached; see setObserver).
+  EvalObserver *Obs = nullptr;
   /// Query context (null when detached; see setQueryContext).
   const QueryContext *Query = nullptr;
-  /// Flight recorder (null when detached; see setFlightRecorder).
-  FlightRecorder *Recorder = nullptr;
-  /// Cost profile owned by the solver (allocated in the constructor iff
-  /// Options::RecordCosts, mirroring the provenance arena).
-  std::unique_ptr<CostProfile> OwnedCosts;
-  /// The active cost profile: OwnedCosts.get(), a caller attachment, or
-  /// null (the default — one pointer test per hook; see setCostProfile).
-  CostProfile *Costs = nullptr;
   /// Internal outermost-query sequence, used when no context supplies an
   /// id. Never reset: warm-hit detection needs ids unique across the
   /// solver's whole life, including across resetStats()/clearTables().
@@ -984,10 +942,6 @@ private:
   /// The intra-query pool, created lazily at the first parallel phase and
   /// reused across phases; sized to Opts.EvalWorkers.
   std::unique_ptr<ThreadPool> EvalPool;
-  /// Sampling cursors handed to worker solvers, one per eval worker;
-  /// allocated eagerly in the constructor (EvalWorkers > 1) so sampler
-  /// lanes bind to stable addresses.
-  std::vector<std::unique_ptr<EvalCursor>> WorkerCursors;
   /// Aggregate of worker-solver EvalStats across parallel phases.
   EvalStats WorkerStats;
   /// Accumulated SharedTableSpace counters across parallel phases.

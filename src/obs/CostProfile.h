@@ -40,10 +40,8 @@ namespace lpa {
 
 class JsonWriter;
 
-/// Exact per-subgoal costs for one query, accumulated by the Solver when
-/// Options::RecordCosts is on (or a profile is attached via
-/// setCostProfile). Detached, every engine hook is one null-pointer test —
-/// the A/B the BM_CostRecord microbench pins.
+/// Exact per-subgoal costs for one query, accumulated by the Solver while
+/// the profile is attached to its EvalObserver.
 class CostProfile {
 public:
   static constexpr uint32_t NoParent = ~0u;

@@ -251,6 +251,9 @@ namespace {
 /// handler itself only opens, writes and re-raises.
 std::atomic<const FlightRecorder *> SigRecorder{nullptr};
 char SigDumpPath[512];
+/// The handler's own stack: a stack overflow leaves no room on the
+/// faulting one.
+alignas(16) char SigAltStack[1 << 16];
 
 void fatalSignalHandler(int Sig) {
   const FlightRecorder *R = SigRecorder.load(std::memory_order_acquire);
@@ -260,7 +263,10 @@ void fatalSignalHandler(int Sig) {
       RawWriter W(Fd);
       W.str("# lpa fatal signal ");
       W.u64(static_cast<uint64_t>(Sig));
-      W.ch('\n');
+      W.str(Sig == SIGSEGV  ? " (SIGSEGV)\n"
+            : Sig == SIGBUS ? " (SIGBUS)\n"
+            : Sig == SIGFPE ? " (SIGFPE)\n"
+                            : " (SIGABRT)\n");
       W.flush();
       R->writeRawTo(Fd);
       ::close(Fd);
@@ -284,9 +290,17 @@ void FlightRecorder::installSignalDump(FlightRecorder *R) {
     return;
   std::memcpy(SigDumpPath, Path.c_str(), Path.size() + 1);
   SigRecorder.store(R, std::memory_order_release);
+  // Alternate stacks are per thread: this one serves the calling
+  // (serving) thread.
+  stack_t SS;
+  std::memset(&SS, 0, sizeof(SS));
+  SS.ss_sp = SigAltStack;
+  SS.ss_size = sizeof(SigAltStack);
+  ::sigaltstack(&SS, nullptr);
   struct sigaction SA;
   std::memset(&SA, 0, sizeof(SA));
   SA.sa_handler = fatalSignalHandler;
+  SA.sa_flags = SA_ONSTACK;
   sigemptyset(&SA.sa_mask);
   for (int Sig : {SIGSEGV, SIGBUS, SIGFPE, SIGABRT})
     ::sigaction(Sig, &SA, nullptr);

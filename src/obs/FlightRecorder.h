@@ -15,10 +15,7 @@
 /// Unlike the tracer (per-SLG-transition, opt-in, high volume), the
 /// recorder sees a handful of events per *request*, so it can stay
 /// attached for a month-long daemon uptime at a constant footprint. The
-/// engine holds a nullable pointer (Solver::setFlightRecorder), so the
-/// detached path is the usual one null test per hook — the same contract
-/// as the tracer/cursor/query-context hooks, pinned by the
-/// BM_FlightRecorderRecord A/B micro.
+/// engine reaches it through its observer (EvalObserver).
 ///
 /// The ring mirrors RecordingSink's bounded mode exactly: keep-last
 /// semantics, every eviction counted, so
@@ -117,19 +114,9 @@ public:
               uint64_t C = 0, uint32_t Flags = 0,
               std::string_view Detail = {});
 
-  /// \name Engine-side hooks (the solver null-guards the pointer).
-  /// @{
-  void noteDeadlineHit(uint64_t QueryId, uint64_t Depth) {
-    record(FrEventKind::DeadlineHit, QueryId, Depth);
-  }
-  void noteIncompleteTable(uint64_t QueryId, uint64_t Ordinal,
-                           std::string_view Pred) {
-    record(FrEventKind::IncompleteTable, QueryId, Ordinal, 0, 0, 0, Pred);
-  }
   void noteFingerprintDivergence(uint64_t QueryId, std::string_view What) {
     record(FrEventKind::FingerprintDivergence, QueryId, 0, 0, 0, 0, What);
   }
-  /// @}
 
   /// Kept events in arrival order (oldest first). Linearizes the ring in
   /// place when it has wrapped, exactly like RecordingSink::events().
@@ -193,7 +180,10 @@ public:
   /// Arms process-wide fatal-signal handlers (SIGSEGV/SIGBUS/SIGFPE/
   /// SIGABRT) that write \p R's ring to
   /// "<DumpDir>/lpa-postmortem-signal.txt" via the raw path above and
-  /// re-raise with the default disposition. Pass nullptr to disarm (the
+  /// re-raise with the default disposition. The handlers run on an
+  /// alternate stack installed once for the calling thread, so a stack
+  /// overflow on that thread still leaves its post-mortem. Pass nullptr to
+  /// disarm (the
   /// handlers stay installed but become pass-through). Only one recorder
   /// can be armed at a time; the last call wins. No-op when \p R has no
   /// DumpDir.

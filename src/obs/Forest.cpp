@@ -121,12 +121,12 @@ std::string forestToDot(const ForestGraph &G) {
     if (N.SccId)
       Out += ", scc " + std::to_string(N.SccId) + ", done #" +
              std::to_string(N.CompletionOrder);
-    if (N.HasCost) {
+    if (N.Cost) {
       // Profiler flame view: exclusive vs inclusive time for the query
       // that exported this forest.
-      Out += "\\nself " + fmtNs(N.CostSelfNs) + " / cum " +
-             fmtNs(N.CostCumNs);
-      if (N.CostWarm)
+      Out += "\\nself " + fmtNs(N.Cost->SelfNs) + " / cum " +
+             fmtNs(N.Cost->CumNs);
+      if (N.Cost->Warm)
         Out += " (warm)";
     }
     if (N.Incomplete)
@@ -172,15 +172,15 @@ void writeForestJson(const ForestGraph &G, JsonWriter &W) {
     W.member("incomplete", N.Incomplete);
     W.member("scc", static_cast<uint64_t>(N.SccId));
     W.member("completion_order", static_cast<uint64_t>(N.CompletionOrder));
-    if (N.HasCost) {
+    if (N.Cost) {
       W.key("cost");
       W.beginObject();
-      W.member("self_ns", N.CostSelfNs);
-      W.member("cum_ns", N.CostCumNs);
-      W.member("steps", N.CostSteps);
-      W.member("answers_consumed", N.CostAnswersConsumed);
-      W.member("resumptions", N.CostResumptions);
-      W.member("warm", N.CostWarm);
+      W.member("self_ns", N.Cost->SelfNs);
+      W.member("cum_ns", N.Cost->CumNs);
+      W.member("steps", N.Cost->Steps);
+      W.member("answers_consumed", N.Cost->AnswersConsumed);
+      W.member("resumptions", N.Cost->Resumptions);
+      W.member("warm", N.Cost->Warm);
       W.endObject();
     }
     W.endObject();

@@ -22,7 +22,10 @@
 #ifndef LPA_OBS_FOREST_H
 #define LPA_OBS_FOREST_H
 
+#include "obs/CostProfile.h"
+
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,19 +45,11 @@ struct ForestNode {
   uint32_t SccId = 0;          ///< 1-based completion SCC; 0 = never completed.
   uint32_t CompletionOrder = 0; ///< 1-based completion sequence; 0 = never.
 
-  /// \name Cost annotations (Options::RecordCosts; see obs/CostProfile.h).
-  /// Filled only when the exporting solver had a cost profile attached AND
-  /// its current/last query touched this subgoal — the self-vs-cumulative
-  /// split renders the forest like a profiler flame view.
-  /// @{
-  bool HasCost = false;
-  bool CostWarm = false;   ///< Answered from an already-complete table.
-  uint64_t CostSelfNs = 0; ///< Exclusive producer time, last query.
-  uint64_t CostCumNs = 0;  ///< Self + first-touch descendants.
-  uint64_t CostSteps = 0;
-  uint64_t CostAnswersConsumed = 0;
-  uint64_t CostResumptions = 0;
-  /// @}
+  /// Cost annotation: set only when the exporting solver had a cost
+  /// profile attached AND its current/last query touched this subgoal —
+  /// the self-vs-cumulative split renders the forest like a profiler
+  /// flame view.
+  std::optional<CostNode> Cost;
 };
 
 /// Consumer -> Producer: evaluating subgoal \p Consumer consumed answers of

@@ -17,10 +17,8 @@
 /// stacks keyed by predicate. Evaluation never blocks and never allocates
 /// on behalf of the profiler.
 ///
-/// Cost model, mirroring the tracer's: the engine holds a *pointer* to the
-/// cursor that is null by default, so the fully-disabled path is one null
-/// test per hook (pinned by the BM_CursorPublish A/B micro). When attached,
-/// a publish is a handful of relaxed atomic stores — no locks, no CAS.
+/// The engine reaches the cursor through its EvalObserver; a publish is a
+/// handful of relaxed atomic stores — no locks, no CAS.
 ///
 /// Concurrency (the TSan story, DESIGN.md §12): every payload field of the
 /// cursor is a std::atomic written with relaxed ordering, so the racing

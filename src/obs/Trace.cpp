@@ -158,19 +158,7 @@ static void writeDroppedEvent(JsonWriter &W,
 std::string lpa::formatChromeTrace(const std::vector<TraceEvent> &Events,
                                    const SymbolTable &Symbols,
                                    uint64_t Dropped) {
-  std::string Out;
-  JsonWriter W(Out);
-  W.beginObject();
-  W.key("traceEvents");
-  W.beginArray();
-  writeDroppedEvent(W, Events, Dropped, /*Tid=*/1);
-  writeChromeEvents(W, Events, &Symbols, /*Tid=*/1);
-  W.endArray();
-  W.member("displayTimeUnit", "ms");
-  if (Dropped)
-    W.member("droppedEvents", Dropped);
-  W.endObject();
-  return Out;
+  return formatChromeTraceThreads({{/*Tid=*/1, Events, Dropped}}, &Symbols);
 }
 
 std::string

@@ -13,10 +13,8 @@
 /// completion, clause resolution, builtin evaluation, depth-limit hit —
 /// plus begin/end span pairs for analysis phases.
 ///
-/// Cost model: a Tracer with no sink attached is a single predictable
-/// branch per hook (`if (Sink)`), and the engine holds a *pointer* to the
-/// tracer that is null by default, so the fully-disabled path is one null
-/// check with no argument evaluation. Sinks only pay when attached.
+/// The engine reaches the tracer through its EvalObserver; a Tracer with
+/// no sink costs one predictable branch per event.
 ///
 //===----------------------------------------------------------------------===//
 

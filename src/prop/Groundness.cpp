@@ -7,7 +7,7 @@
 
 #include "prop/Groundness.h"
 
-#include "obs/Span.h"
+#include "obs/EvalObserver.h"
 #include "reader/Parser.h"
 #include "support/Stopwatch.h"
 
@@ -65,7 +65,9 @@ ErrorOr<GroundnessResult> GroundnessAnalyzer::analyze(std::string_view Source) {
   Stopwatch Phase;
 
   //--- Preprocessing: read, transform (Figure 1), load as dynamic code. ---
-  ScopedSpan PreprocSpan(Opts.Trace, Opts.Metrics, "transform");
+  EvalObserver Obs{
+      .Trace = Opts.Trace, .Metrics = Opts.Metrics, .Cursor = Opts.Cursor};
+  EvalObserver::Span PreprocSpan(Obs, "transform");
   TermStore AbsStore;
   PropTransformer Transformer(Symbols);
   auto Program = Transformer.transformText(Source, AbsStore);
@@ -82,10 +84,9 @@ ErrorOr<GroundnessResult> GroundnessAnalyzer::analyze(std::string_view Source) {
 
   //--- Analysis: evaluate the open call of every predicate. --------------
   Phase.restart();
-  ScopedSpan EvalSpan(Opts.Trace, Opts.Metrics, "evaluate");
+  EvalObserver::Span EvalSpan(Obs, "evaluate");
   Solver Engine(AbsDB, Opts.Engine);
-  Engine.setObservability(Opts.Trace, Opts.Metrics);
-  Engine.setSampleCursor(Opts.Cursor);
+  Engine.setObserver(Obs.empty() ? nullptr : &Obs);
   if (Opts.AggregateModes) {
     // Section 6.2: one joined answer per subgoal. The join is the
     // pointwise least upper bound of boolean tuples: agreeing positions
@@ -165,7 +166,7 @@ ErrorOr<GroundnessResult> GroundnessAnalyzer::analyze(std::string_view Source) {
 
   //--- Collection: fold tables into groundness results. ------------------
   Phase.restart();
-  ScopedSpan CollectSpan(Opts.Trace, Opts.Metrics, "collect");
+  EvalObserver::Span CollectSpan(Obs, "collect");
   Result.TableSpaceBytes = Engine.tableSpaceBytes();
   Result.Stats = Engine.stats();
   if (Opts.Metrics)

@@ -22,6 +22,8 @@
 #define LPA_PROP_GROUNDNESS_H
 
 #include "engine/Solver.h"
+#include "obs/Sampler.h"
+#include "obs/Trace.h"
 #include "prop/PropResult.h"
 #include "prop/PropTransform.h"
 
@@ -93,16 +95,11 @@ public:
     /// model is the soundness bug this flag guards.
     bool AllowIncomplete = false;
 
-    /// Observability (both optional, caller-owned): the tracer receives
-    /// SLG events plus transform/evaluate/collect phase spans; the
-    /// registry receives per-predicate counters, phase timings, and a
-    /// table snapshot after evaluation.
+    /// Observation channels (optional, caller-owned), the internal
+    /// Solver's EvalObserver. Tracer and registry also see the transform/
+    /// evaluate/collect phases, the registry a table snapshot at the end.
     Tracer *Trace = nullptr;
     MetricsRegistry *Metrics = nullptr;
-
-    /// Sampling-profiler cursor forwarded to the internal Solver (optional,
-    /// caller-owned; see Solver::setSampleCursor). A background Sampler
-    /// reading it sees the abstract evaluation's producer stack.
     EvalCursor *Cursor = nullptr;
   };
 

@@ -63,7 +63,12 @@ ErrorOr<TermRef> Parser::nextClause() {
 }
 
 ErrorOr<TermRef> Parser::parseExpr(int MaxPrec) {
+  if (Depth == MaxNesting)
+    return errorHere("term nested deeper than " + std::to_string(MaxNesting) +
+                     " levels");
+  ++Depth;
   auto Left = parseLeft(MaxPrec);
+  --Depth;
   if (!Left)
     return Left.getError();
   return Left->Term;

@@ -34,6 +34,12 @@ namespace lpa {
 /// bindings by their source names.
 class Parser {
 public:
+  /// Deepest subterm nesting the reader accepts (arguments, list elements,
+  /// operands and parentheses all count). Deeper input gets a Diagnostic
+  /// instead of overflowing the C++ stack here or in the recursive term
+  /// walks downstream, sanitizer builds' larger frames included.
+  static constexpr unsigned MaxNesting = 1000;
+
   Parser(SymbolTable &Symbols, TermStore &Store, std::string_view Text);
 
   /// Parses the next clause (a term followed by '.').
@@ -82,6 +88,7 @@ private:
   OpTable Ops;
   Lexer Lex;
   Token Cur;
+  unsigned Depth = 0; ///< parseExpr nesting (see MaxNesting).
   std::unordered_map<std::string, TermRef> VarMap;
   std::vector<std::pair<std::string, TermRef>> ClauseVars;
 };

@@ -17,22 +17,37 @@
 
 using namespace lpa;
 
+/// \p Goal without surrounding whitespace: the REPL hands over raw input
+/// whose newlines would mangle the report table and the JSON snapshot.
+static std::string_view trimmed(std::string_view Goal) {
+  size_t B = Goal.find_first_not_of(" \t\r\n");
+  if (B == std::string_view::npos)
+    return Goal;
+  return Goal.substr(B, Goal.find_last_not_of(" \t\r\n") - B + 1);
+}
+
 static Solver::Options engineOptions(const AnalysisSession::Options &O) {
-  Solver::Options E;
-  E.RecordProvenance = O.RecordProvenance;
-  E.RecordCosts = O.RecordCosts;
-  E.EvalWorkers = O.EvalWorkers;
-  return E;
+  return {.RecordProvenance = O.RecordProvenance,
+          .EvalWorkers = O.EvalWorkers};
 }
 
 AnalysisSession::AnalysisSession(Options O)
     : Opts(std::move(O)), DB(Symbols), Engine(DB, engineOptions(Opts)),
       Stats(Opts.Stats), Fr(Opts.Recorder), Slow(Opts.SlowLog),
       Hist(Opts.History), Log(Opts.Log) {
-  Engine.setObservability(&Trace, &Metrics);
-  Engine.setSampleCursor(&Cursor);
+  Obs = {.Trace = &Trace,
+         .Metrics = &Metrics,
+         .Cursor = &Cursor,
+         .Recorder = &Fr,
+         .Costs = Opts.RecordCosts ? &Costs : nullptr};
+  // One cursor per eval worker, allocated up front so sampler lanes bind
+  // to stable addresses before any parallel phase runs.
+  for (size_t I = 0; Opts.EvalWorkers > 1 && I < Opts.EvalWorkers; ++I) {
+    WorkerCursors.push_back(std::make_unique<EvalCursor>());
+    Obs.WorkerCursors.push_back(WorkerCursors.back().get());
+  }
+  Engine.setObserver(&Obs);
   Engine.setQueryContext(&Ctx);
-  Engine.setFlightRecorder(&Fr);
   // History series, registered once; tickMetricsHistory() samples them in
   // exactly this order.
   Hist.addSeries("queries_served");
@@ -54,9 +69,9 @@ AnalysisSession::AnalysisSession(Options O)
     // One lane per eval worker: parallel-prime stacks fold under
     // "<lane>.wK" instead of vanishing (the workers never touch the
     // session cursor).
-    const auto &WC = Engine.workerCursors();
-    for (size_t I = 0; I < WC.size(); ++I)
-      Prof->addLane(Opts.SampleLane + ".w" + std::to_string(I), WC[I].get());
+    for (size_t I = 0; I < WorkerCursors.size(); ++I)
+      Prof->addLane(Opts.SampleLane + ".w" + std::to_string(I),
+                    WorkerCursors[I].get());
     // Adaptive sampling: when the recorder journals a deadline or taint
     // alarm mid-query, the sampler boosts its rate for the remainder.
     Prof->setAlarmSource(Fr.alarmCounter());
@@ -68,10 +83,8 @@ AnalysisSession::~AnalysisSession() {
   if (Prof)
     Prof->stop();
   // Detach the hooks before members destruct under the engine.
-  Engine.setFlightRecorder(nullptr);
+  Engine.setObserver(nullptr);
   Engine.setQueryContext(nullptr);
-  Engine.setSampleCursor(nullptr);
-  Engine.setObservability(nullptr, nullptr);
 }
 
 AnalysisSession::ConsultResult
@@ -133,13 +146,7 @@ AnalysisSession::runQuery(std::string_view GoalText, size_t MaxSolutions,
   if (!Goal)
     return Goal.getError();
 
-  // Trim the goal text for the record: the REPL hands over raw input
-  // with surrounding whitespace/newlines that would mangle the report
-  // table and the JSON snapshot.
-  size_t B = GoalText.find_first_not_of(" \t\r\n");
-  size_t E = GoalText.find_last_not_of(" \t\r\n");
-  std::string_view Shown =
-      B == std::string_view::npos ? GoalText : GoalText.substr(B, E - B + 1);
+  std::string_view Shown = trimmed(GoalText);
 
   // Open the query scope: a fresh id, and the deadline as an absolute
   // point on the engine's steady clock. The context object is attached
@@ -360,8 +367,7 @@ void AnalysisSession::captureSlowQuery(
   // with RecordCosts on, or an explain evaluation that crossed the
   // threshold) — the exemplar then says *where* the time went, not just
   // that it went.
-  if (const CostProfile *CP = Engine.costProfile();
-      CP && CP->queryId() == R.Id) {
+  if (const CostProfile *CP = Obs.Costs; CP && CP->queryId() == R.Id) {
     CostSummary CS = Engine.exportCostSummary();
     Ex.CostAttributedNs = CS.AttributedNs;
     Ex.CostRootNs = CS.RootNs;
@@ -611,36 +617,34 @@ void AnalysisSession::resetStats() {
 // Cost profiles (explain)
 //===----------------------------------------------------------------------===//
 
+ErrorOr<AnalysisSession::QueryResult>
+AnalysisSession::runCosted(std::string_view GoalText, size_t MaxSolutions,
+                           uint64_t DeadlineMs, CostSummary &Summary) {
+  // With Options::RecordCosts the profile is attached for good and this
+  // swap is a no-op; otherwise it covers just this query.
+  CostProfile *Prev = Obs.Costs;
+  Obs.Costs = &Costs;
+  auto R = runQuery(GoalText, MaxSolutions, DeadlineMs);
+  if (R)
+    Summary = Engine.exportCostSummary();
+  Obs.Costs = Prev;
+  return R;
+}
+
 ErrorOr<std::string> AnalysisSession::explainJson(std::string_view GoalText,
                                                   size_t TopK,
                                                   size_t MaxSolutions,
                                                   uint64_t DeadlineMs) {
-  // Attach a profile for just this query when the session does not record
-  // costs everywhere; an already-attached profile (RecordCosts, or a test
-  // harness) is reused so its owner keeps seeing its own data.
-  bool Attached = Engine.costProfile() != nullptr;
-  if (!Attached)
-    Engine.setCostProfile(&ExplainCosts);
-  auto R = runQuery(GoalText, MaxSolutions, DeadlineMs);
-  if (!R) {
-    if (!Attached)
-      Engine.setCostProfile(nullptr);
+  CostSummary CS;
+  auto R = runCosted(GoalText, MaxSolutions, DeadlineMs, CS);
+  if (!R)
     return R.getError();
-  }
-  CostSummary CS = Engine.exportCostSummary();
-  if (!Attached)
-    Engine.setCostProfile(nullptr);
-
-  size_t B = GoalText.find_first_not_of(" \t\r\n");
-  size_t E = GoalText.find_last_not_of(" \t\r\n");
-  std::string_view Shown =
-      B == std::string_view::npos ? GoalText : GoalText.substr(B, E - B + 1);
 
   std::string Out;
   JsonWriter W(Out);
   W.beginObject();
   W.member("schema", "lpa.explain.v1");
-  W.member("goal", Shown);
+  W.member("goal", trimmed(GoalText));
   W.member("id", R->Id);
   W.member("solutions", static_cast<uint64_t>(R->Total));
   W.member("wall_ms", R->WallMs);
@@ -654,18 +658,10 @@ ErrorOr<std::string> AnalysisSession::explainJson(std::string_view GoalText,
 
 std::string AnalysisSession::explainReport(std::string_view GoalText,
                                            size_t TopK) {
-  bool Attached = Engine.costProfile() != nullptr;
-  if (!Attached)
-    Engine.setCostProfile(&ExplainCosts);
-  auto R = runQuery(GoalText);
-  if (!R) {
-    if (!Attached)
-      Engine.setCostProfile(nullptr);
+  CostSummary CS;
+  auto R = runCosted(GoalText, /*MaxSolutions=*/10, /*DeadlineMs=*/0, CS);
+  if (!R)
     return "explain: " + R.getError().str() + "\n";
-  }
-  CostSummary CS = Engine.exportCostSummary();
-  if (!Attached)
-    Engine.setCostProfile(nullptr);
 
   std::string Out;
   char L[200];
@@ -676,8 +672,8 @@ std::string AnalysisSession::explainReport(std::string_view GoalText,
   std::snprintf(L, sizeof(L),
                 "Query %llu: %zu solutions in %.3f ms; %.1f%% attributed to "
                 "%zu subgoals (root %.3f ms)\n",
-                static_cast<unsigned long long>(CS.QueryId), R->Total, WallMs,
-                Pct, CS.Nodes.size(), double(CS.RootNs) / 1e6);
+                static_cast<unsigned long long>(CS.QueryId), R->Total,
+                WallMs, Pct, CS.Nodes.size(), double(CS.RootNs) / 1e6);
   Out += L;
   if (CS.Nodes.empty())
     return Out;

@@ -25,6 +25,7 @@
 #define LPA_SRV_SESSION_H
 
 #include "engine/Solver.h"
+#include "obs/EvalObserver.h"
 #include "obs/FlightRecorder.h"
 #include "obs/Log.h"
 #include "obs/Metrics.h"
@@ -51,10 +52,10 @@ public:
     /// Record justifications (the REPL's ":why" needs them; the daemon
     /// leaves them off unless asked — long-lived arenas grow).
     bool RecordProvenance = false;
-    /// Record per-subgoal cost profiles on *every* query
-    /// (Solver::Options::RecordCosts). Off by default: `explain` attaches
-    /// a profile for just its own query, so ordinary sessions pay only
-    /// the null-test disabled path.
+    /// Record per-subgoal cost profiles on *every* query: the session's
+    /// profile stays attached to its observer. Off by default: `explain`
+    /// attaches the profile for just its own query, so ordinary sessions
+    /// pay only the null-test disabled path.
     bool RecordCosts = false;
     /// Background sampling profiler rate; 0 = no sampler thread (the
     /// cursor is still attached, so a later profiler could be).
@@ -242,6 +243,12 @@ private:
   /// anomalous query; no-op unless the recorder has a dump directory.
   void dumpAnomaly(std::string_view Reason);
 
+  /// runQuery with the session's cost profile attached for the query;
+  /// \p Summary receives its cost attribution (the `explain` verbs).
+  ErrorOr<QueryResult> runCosted(std::string_view GoalText,
+                                 size_t MaxSolutions, uint64_t DeadlineMs,
+                                 CostSummary &Summary);
+
   Options Opts;
   SymbolTable Symbols;
   Database DB;
@@ -249,14 +256,16 @@ private:
   Tracer Trace;
   MetricsRegistry Metrics;
   EvalCursor Cursor;
+  /// Eval workers' cursors (Options::EvalWorkers > 1), one lane each.
+  std::vector<std::unique_ptr<EvalCursor>> WorkerCursors;
   std::unique_ptr<Sampler> Prof; ///< Null when Options::SampleHz == 0.
   ServiceStats Stats;
   FlightRecorder Fr; ///< Always-on bounded journal (engine-attached).
   SlowQueryLog Slow; ///< Slow-query exemplars (LRU).
   MetricsHistory Hist; ///< Periodic counter/gauge snapshot ring.
-  /// The profile `explain` attaches for its one query when the session
-  /// does not record costs everywhere (Options::RecordCosts).
-  CostProfile ExplainCosts;
+  /// Attached for good with Options::RecordCosts, else by `explain`.
+  CostProfile Costs;
+  EvalObserver Obs; ///< Over the channels above, for the session's life.
   Logger *Log = nullptr;
   QueryContext Ctx;        ///< Attached to the engine for the session's life.
   uint64_t NextQueryId = 0;

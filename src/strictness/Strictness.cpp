@@ -8,7 +8,7 @@
 #include "strictness/Strictness.h"
 
 #include "fl/FLParser.h"
-#include "obs/Span.h"
+#include "obs/EvalObserver.h"
 #include "support/Stopwatch.h"
 
 using namespace lpa;
@@ -96,7 +96,8 @@ ErrorOr<StrictnessResult> StrictnessAnalyzer::analyze(std::string_view Source) {
   Stopwatch Phase;
 
   //--- Preprocessing: parse FL, transform (Figure 3), load. --------------
-  ScopedSpan PreprocSpan(Trace, Metrics, "transform");
+  EvalObserver Obs{.Trace = Trace, .Metrics = Metrics, .Cursor = Cursor};
+  EvalObserver::Span PreprocSpan(Obs, "transform");
   auto Program = FLParser::parse(Source);
   if (!Program)
     return Program.getError();
@@ -121,10 +122,9 @@ ErrorOr<StrictnessResult> StrictnessAnalyzer::analyze(std::string_view Source) {
 
   //--- Analysis: sp_f(e, ...) and sp_f(d, ...) per function. -------------
   Phase.restart();
-  ScopedSpan EvalSpan(Trace, Metrics, "evaluate");
+  EvalObserver::Span EvalSpan(Obs, "evaluate");
   Solver Engine(DB, Opts.Engine);
-  Engine.setObservability(Trace, Metrics);
-  Engine.setSampleCursor(Cursor);
+  Engine.setObserver(Obs.empty() ? nullptr : &Obs);
   TermRef EAtom = Engine.store().mkAtom(Symbols.intern("e"));
   TermRef DAtom = Engine.store().mkAtom(Symbols.intern("d"));
   struct Query {
@@ -162,7 +162,7 @@ ErrorOr<StrictnessResult> StrictnessAnalyzer::analyze(std::string_view Source) {
 
   //--- Collection. --------------------------------------------------------
   Phase.restart();
-  ScopedSpan CollectSpan(Trace, Metrics, "collect");
+  EvalObserver::Span CollectSpan(Obs, "collect");
   Result.TableSpaceBytes = Engine.tableSpaceBytes();
   Result.Stats = Engine.stats();
   if (Opts.Engine.RecordProvenance) {

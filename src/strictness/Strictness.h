@@ -19,6 +19,8 @@
 #define LPA_STRICTNESS_STRICTNESS_H
 
 #include "engine/Solver.h"
+#include "obs/Sampler.h"
+#include "obs/Trace.h"
 #include "strictness/StrictTransform.h"
 
 #include <string>
@@ -108,14 +110,11 @@ public:
   StrictnessAnalyzer() = default;
   explicit StrictnessAnalyzer(Options Opts) : Opts(Opts) {}
 
-  /// Attaches optional caller-owned observability sinks: the tracer sees
-  /// SLG events plus transform/evaluate/collect phase spans; the registry
-  /// receives per-predicate counters and a table snapshot. Predicate names
-  /// are captured into the registry eagerly, so the registry stays valid
-  /// after analyze() returns even though the analyzer's symbol table does
-  /// not outlive the call.
-  /// \p C (optional) is a sampling-profiler cursor forwarded to the
-  /// internal Solver (see Solver::setSampleCursor).
+  /// Sets the optional, caller-owned observation channels: the internal
+  /// Solver's EvalObserver. Tracer and registry also see the transform/
+  /// evaluate/collect phases, the registry a table snapshot. Predicate
+  /// names are captured into the registry eagerly, so it stays valid after
+  /// analyze() returns even though the analyzer's symbol table does not.
   void setObservability(Tracer *T, MetricsRegistry *M,
                         EvalCursor *C = nullptr) {
     Trace = T;

@@ -15,6 +15,7 @@
 
 #include "engine/Solver.h"
 #include "obs/CostProfile.h"
+#include "obs/EvalObserver.h"
 #include "obs/Json.h"
 #include "obs/Metrics.h"
 #include "obs/MetricsHistory.h"
@@ -63,6 +64,17 @@ std::vector<std::string> answersOf(AnalysisSession &S, const char *GoalText) {
   return Out;
 }
 
+/// A cost profile attached to \p Engine through an observer of its own,
+/// for the scope of the object.
+struct CostObserver {
+  CostProfile Costs;
+  EvalObserver Obs;
+  explicit CostObserver(Solver &Engine) {
+    Obs.Costs = &Costs;
+    Engine.setObserver(&Obs);
+  }
+};
+
 //===----------------------------------------------------------------------===//
 // Attribution exactness
 //===----------------------------------------------------------------------===//
@@ -71,10 +83,8 @@ TEST(CostProfileTest, SelfCostsConserveQueryWall) {
   SymbolTable Syms;
   Database DB(Syms);
   ASSERT_TRUE(DB.consult(digraphClosure(12)).hasValue());
-  Solver::Options EO;
-  EO.RecordCosts = true;
-  Solver Engine(DB, EO);
-  ASSERT_NE(Engine.costProfile(), nullptr);
+  Solver Engine(DB);
+  CostObserver CO(Engine);
 
   auto G = Parser::parseTerm(Syms, Engine.store(), "path(X, Y)");
   ASSERT_TRUE(G.hasValue());
@@ -124,9 +134,8 @@ TEST(CostProfileTest, WarmHitsAttributeZeroColdCost) {
   SymbolTable Syms;
   Database DB(Syms);
   ASSERT_TRUE(DB.consult(digraphClosure(4)).hasValue());
-  Solver::Options EO;
-  EO.RecordCosts = true;
-  Solver Engine(DB, EO);
+  Solver Engine(DB);
+  CostObserver CO(Engine);
 
   auto G = Parser::parseTerm(Syms, Engine.store(), "path(X, Y)");
   ASSERT_TRUE(G.hasValue());
@@ -178,9 +187,8 @@ TEST(CostProfileTest, ForestExportCarriesCostAnnotations) {
   SymbolTable Syms;
   Database DB(Syms);
   ASSERT_TRUE(DB.consult(digraphClosure(4)).hasValue());
-  Solver::Options EO;
-  EO.RecordCosts = true;
-  Solver Engine(DB, EO);
+  Solver Engine(DB);
+  CostObserver CO(Engine);
   auto G = Parser::parseTerm(Syms, Engine.store(), "path(v0, X)");
   ASSERT_TRUE(G.hasValue());
   Engine.solve(*G, nullptr);
@@ -188,9 +196,9 @@ TEST(CostProfileTest, ForestExportCarriesCostAnnotations) {
   ASSERT_FALSE(FG.Nodes.empty());
   bool AnyCost = false;
   for (const ForestNode &N : FG.Nodes)
-    if (N.HasCost) {
+    if (N.Cost) {
       AnyCost = true;
-      EXPECT_GE(N.CostCumNs, N.CostSelfNs);
+      EXPECT_GE(N.Cost->CumNs, N.Cost->SelfNs);
     }
   EXPECT_TRUE(AnyCost);
   // The dot rendering mentions the cost line.
@@ -205,7 +213,7 @@ TEST(CostProfileTest, ForestExportCarriesCostAnnotations) {
 TEST(ExplainTest, ExplainJsonRoundTrips) {
   AnalysisSession S; // RecordCosts off: explain attaches per query.
   ASSERT_TRUE(S.consult(digraphClosure(6)).hasValue());
-  EXPECT_EQ(S.solver().costProfile(), nullptr);
+  EXPECT_EQ(S.solver().observer()->Costs, nullptr);
 
   auto R = S.explainJson("path(X, Y)", /*TopK=*/5);
   ASSERT_TRUE(R.hasValue());
@@ -232,11 +240,11 @@ TEST(ExplainTest, ExplainJsonRoundTrips) {
   EXPECT_FALSE(PerPred->items().empty());
 
   // The temporary profile detached afterwards — the disabled path is back.
-  EXPECT_EQ(S.solver().costProfile(), nullptr);
+  EXPECT_EQ(S.solver().observer()->Costs, nullptr);
 
   // Parse errors surface as errors, and still restore the null profile.
   EXPECT_FALSE(S.explainJson("path(").hasValue());
-  EXPECT_EQ(S.solver().costProfile(), nullptr);
+  EXPECT_EQ(S.solver().observer()->Costs, nullptr);
 }
 
 TEST(ExplainTest, ExplainReportRendersTable) {

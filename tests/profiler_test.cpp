@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "engine/Solver.h"
+#include "obs/EvalObserver.h"
 #include "obs/Json.h"
 #include "obs/Metrics.h"
 #include "obs/Sampler.h"
@@ -282,7 +283,9 @@ TEST(Sampler, ProfilesALiveSolve) {
   size_t Sols = 0;
   for (int Rep = 0; Rep < 20; ++Rep) {
     Solver Engine(DB);
-    Engine.setSampleCursor(&Cursor);
+    EvalObserver Obs;
+    Obs.Cursor = &Cursor;
+    Engine.setObserver(&Obs);
     auto G = Parser::parseTerm(Syms, Engine.store(), "path(X, Y)");
     ASSERT_TRUE(G.hasValue());
     Sols += Engine.solve(*G, nullptr);
@@ -327,8 +330,10 @@ TEST(Sampler, CursorNeverAttachedChangesNothing) {
 
   auto Run = [&](EvalCursor *C) {
     Solver Engine(DB);
+    EvalObserver Obs;
+    Obs.Cursor = C;
     if (C)
-      Engine.setSampleCursor(C);
+      Engine.setObserver(&Obs);
     auto G = Parser::parseTerm(Syms, Engine.store(), "path(X, Y)");
     size_t Sols = Engine.solve(*G, nullptr);
     return std::pair(Sols, Engine.stats().AnswersRecorded);

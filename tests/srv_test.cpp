@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "engine/Solver.h"
+#include "obs/EvalObserver.h"
 #include "obs/Trace.h"
 #include "reader/Parser.h"
 #include "srv/Protocol.h"
@@ -88,7 +89,10 @@ TEST(WarmCold, PerPredicateMetricsCarryTheSplit) {
   Solver S(DB);
   Tracer Trace;
   MetricsRegistry Metrics;
-  S.setObservability(&Trace, &Metrics);
+  EvalObserver Obs;
+  Obs.Trace = &Trace;
+  Obs.Metrics = &Metrics;
+  S.setObserver(&Obs);
   solveText(Syms, S, "path(a, X)");
   solveText(Syms, S, "path(a, X)");
   const PredMetrics &PM = Metrics.pred(Syms, Syms.intern("path"), 2);
@@ -134,7 +138,10 @@ TEST(QueryContext, TraceEventsAttributeToTheirQuery) {
   RecordingSink Sink;
   Trace.setSink(&Sink);
   MetricsRegistry Metrics;
-  S.setObservability(&Trace, &Metrics);
+  EvalObserver Obs;
+  Obs.Trace = &Trace;
+  Obs.Metrics = &Metrics;
+  S.setObserver(&Obs);
 
   QueryContext Ctx;
   S.setQueryContext(&Ctx);
