@@ -169,6 +169,14 @@ size_t Solver::solve(TermRef Goal, const SolutionFn &OnSolution) {
   // Goal nodes are only reachable during the query; recycle them when no
   // producer is active (i.e. this was an outermost query).
   if (ProducerStack.empty() && CompletionStack.empty()) {
+    if (Memo) {
+      // Frontier scaffolding of this query, released as an SCC's is.
+      size_t Bytes = Memo->memoryBytes();
+      Stats.FrontierBytesFreed += Bytes;
+      Water.PeakSccFrontierBytes =
+          std::max<uint64_t>(Water.PeakSccFrontierBytes, Bytes);
+      Memo.reset();
+    }
     if (Obs)
       Obs->queryEnd();
     GoalArena.clear();
@@ -472,7 +480,7 @@ Solver::invalidateDependents(std::span<const PredKey> Changed) {
   // re-records exactly the dependencies the new program induces (keeping
   // them would pin dropped dependencies forever).
   DepIndex.dropConsumers(Affected);
-  // isStaticPred caches reachability over the old program; any mutation
+  // staticness caches reachability over the old program; any mutation
   // can flip it (an asserted clause may reach a tabled predicate).
   StaticPredCache.clear();
   if (R.TablesInvalidated) {
@@ -1091,6 +1099,9 @@ void Solver::addDepEdge(uint32_t Consumer, uint32_t Producer) {
 void Solver::recordPredDependency(PredKey Callee) {
   if (ProducerStack.empty())
     return;
+  if (DepCapture && std::find(DepCapture->begin() + DepCaptureBegin,
+                               DepCapture->end(), Callee) == DepCapture->end())
+    DepCapture->push_back(Callee);
   const PredKey &P = ProducerStack.back()->Pred;
   DepIndex.addEdge(DependencyIndex::packPred(P.Sym, P.Arity),
                    DependencyIndex::packPred(Callee.Sym, Callee.Arity));
@@ -1117,48 +1128,65 @@ bool Solver::clauseIsPure(const Clause &C) const {
   return true;
 }
 
-bool Solver::isStaticPred(PredKey Key) {
+Solver::Staticness Solver::staticness(PredKey Key) {
   uint64_t K = (uint64_t(Key.Sym) << 32) | Key.Arity;
   auto It = StaticPredCache.find(K);
   if (It != StaticPredCache.end())
     return It->second;
-  // Greatest fixpoint: assume static while visiting, so nontabled cycles
-  // without tabled members come out static.
-  StaticPredCache[K] = true;
+  // Walk Key's whole call cone, the goals under control constructs
+  // included, marking each member static as it is reached. Key is static
+  // iff the cone holds no tabled predicate and no metacall, and then so is
+  // every member; otherwise the marks are taken back.
+  const TermStore &CS = DB.store();
+  std::vector<uint64_t> Cone{K};
+  std::vector<bool> HasRules;
+  std::vector<TermRef> Work;
+  StaticPredCache[K] = Staticness::Rules;
   bool Static = true;
-  if (DB.isTabled(Key)) {
-    Static = false;
-  } else if (const Predicate *P = DB.lookup(Key)) {
-    if (P->Tabled)
+  for (size_t I = 0; Static && I < Cone.size(); ++I) {
+    PredKey PK{static_cast<SymbolId>(Cone[I] >> 32),
+               static_cast<uint32_t>(Cone[I])};
+    const Predicate *P = DB.lookup(PK);
+    if (DB.isTabled(PK) || (P && P->Tabled))
       Static = false;
-    for (const Clause &C : P->Clauses) {
-      for (TermRef G : C.Body) {
-        const TermStore &CS = DB.store();
-        TermRef D = CS.deref(G);
-        TermTag T = CS.tag(D);
-        if (T != TermTag::Atom && T != TermTag::Struct) {
-          Static = false; // Metacall: anything can happen.
-          break;
-        }
-        PredKey GK{CS.symbol(D), CS.arity(D)};
-        BuiltinKind BK = Builtins.classify(GK.Sym, GK.Arity);
-        if (BK == BuiltinKind::Call) {
-          Static = false;
-          break;
-        }
-        if (BK != BuiltinKind::None)
-          continue; // Other builtins are timeless.
-        if (!isStaticPred(GK)) {
-          Static = false;
-          break;
-        }
-      }
-      if (!Static)
+    else if (P)
+      for (const Clause &C : P->Clauses)
+        Work.insert(Work.end(), C.Body.begin(), C.Body.end());
+    HasRules.push_back(!Work.empty());
+    while (Static && !Work.empty()) {
+      TermRef D = CS.deref(Work.back());
+      Work.pop_back();
+      TermTag T = CS.tag(D);
+      if (T != TermTag::Atom && T != TermTag::Struct) {
+        Static = false; // Metacall: anything can happen.
         break;
+      }
+      SymbolId Sym = CS.symbol(D);
+      uint32_t Arity = CS.arity(D);
+      BuiltinKind BK = Builtins.classify(Sym, Arity);
+      if (BK == BuiltinKind::Not || BK == BuiltinKind::Disj ||
+          BK == BuiltinKind::IfThen || (Sym == Symbols.Comma && Arity == 2)) {
+        for (uint32_t A = 0; A < Arity; ++A)
+          Work.push_back(CS.arg(D, A)); // Control: its goals run too.
+      } else if (BK == BuiltinKind::Call) {
+        Static = false;
+      } else if (BK == BuiltinKind::None) { // Other builtins are timeless.
+        auto [Mark, New] = StaticPredCache.emplace(
+            (uint64_t(Sym) << 32) | Arity, Staticness::Rules);
+        if (New)
+          Cone.push_back(Mark->first);
+        Static = Mark->second != Staticness::Dynamic;
+      }
     }
   }
-  StaticPredCache[K] = Static;
-  return Static;
+  for (size_t I = 0; I < Cone.size(); ++I)
+    if (!Static)
+      StaticPredCache.erase(Cone[I]);
+    else if (!HasRules[I])
+      StaticPredCache[Cone[I]] = Staticness::Facts;
+  if (!Static)
+    StaticPredCache[K] = Staticness::Dynamic;
+  return StaticPredCache[K];
 }
 
 void Solver::solveSemiGoal(TermRef G, uint64_t MinSeq,
@@ -1191,8 +1219,13 @@ void Solver::solveSemiGoal(TermRef G, uint64_t MinSeq,
 
   if (!P->Tabled) {
     recordPredDependency(Key);
-    if (MinSeq > 0 && isStaticPred(Key))
+    Staticness S = staticness(Key);
+    if (S != Staticness::Dynamic && MinSeq > 0)
       return; // Static facts cannot yield anything new.
+    if (S == Staticness::Rules) {
+      solveStaticGoal(G, OnSolution);
+      return;
+    }
     GoalNode Node{G, nullptr};
     solveGoals(&Node, /*Depth=*/1, ++CutCounter, [&]() {
       OnSolution();
@@ -1212,6 +1245,55 @@ void Solver::solveSemiGoal(TermRef G, uint64_t MinSeq,
     OnSolution();
     return false;
   });
+}
+
+size_t Solver::StaticGoalMemo::memoryBytes() const {
+  return Calls.memoryBytes() + Solutions.memoryBytes() +
+         Entries.capacity() * sizeof(Entry) + Deps.capacity() * sizeof(PredKey);
+}
+
+void Solver::solveStaticGoal(TermRef G,
+                             const std::function<void()> &OnSolution) {
+  if (!Memo)
+    Memo = std::make_unique<StaticGoalMemo>();
+  VariantCodeStore::InsertResult Call = Memo->Calls.insert(0, Heap, G);
+  if (Call.Inserted) {
+    Memo->Entries.emplace_back();
+    Memo->Solutions.addLevel();
+  }
+  StaticGoalMemo::Entry E = Memo->Entries[Call.Index];
+  if (E.Stored && DeadlineExpired) {
+    // As solveGoals after expiry: no solutions, a poisoned producer.
+    ProducerStack.back()->Incomplete = true;
+  } else if (E.Stored) {
+    for (uint32_t I = E.DepBegin; I < E.DepEnd; ++I)
+      recordPredDependency(Memo->Deps[I]);
+    for (size_t I = 0, N = Memo->Solutions.size(Call.Index); I < N; ++I) {
+      auto M = Heap.mark();
+      if (unify(Heap, G, Memo->Solutions.decode(Call.Index, I, Heap),
+                Opts.OccursCheck))
+        OnSolution();
+      Heap.undoTo(M);
+    }
+  } else {
+    // Evaluate, keeping the distinct goal instances and the callees; a
+    // truncated evaluation is not stored. Static goals reach no table, so
+    // nothing reached from here re-enters the memo.
+    uint64_t DepthHits = Stats.DepthLimitHits;
+    E.DepBegin = static_cast<uint32_t>(Memo->Deps.size());
+    DepCapture = &Memo->Deps;
+    DepCaptureBegin = E.DepBegin;
+    GoalNode Node{G, nullptr};
+    solveGoals(&Node, /*Depth=*/1, ++CutCounter, [&]() {
+      Memo->Solutions.insert(Call.Index, Heap, G);
+      OnSolution();
+      return false;
+    });
+    DepCapture = nullptr;
+    E.DepEnd = static_cast<uint32_t>(Memo->Deps.size());
+    E.Stored = Stats.DepthLimitHits == DepthHits && !DeadlineExpired;
+    Memo->Entries[Call.Index] = E;
+  }
 }
 
 void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
@@ -1285,7 +1367,7 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
           uint64_t MaxSeq = It == PredMaxAnswerSeq.end() ? 0 : It->second;
           Policy = MaxSeq > PrevWatermark ? OldPolicy::CheckPred
                                           : OldPolicy::Skip;
-        } else if (isStaticPred(GK)) {
+        } else if (staticness(GK) != Staticness::Dynamic) {
           Policy = OldPolicy::Skip;
         }
       }

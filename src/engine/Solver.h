@@ -103,9 +103,9 @@ struct EvalStats {
   /// store flat variant codes, not trie nodes).
   uint64_t TrieNodesCreated = 0;
   /// @}
-  /// Bytes of supplementary-table state released when SCCs completed
-  /// (frontier stores, dedup structures). tableSpaceBytes() excludes this
-  /// memory once freed; see the completion-shrink regression test.
+  /// Bytes of supplementary-table state freed at SCC completion (frontier
+  /// stores, dedup structures) and query end (the static-goal memo).
+  /// tableSpaceBytes() excludes it; see the completion-shrink test.
   uint64_t FrontierBytesFreed = 0;
   /// Tables completed while the depth limit had pruned part of their
   /// derivation tree (Subgoal::Incomplete). A nonzero count means the
@@ -178,8 +178,8 @@ struct TableWatermarks {
   /// plus answer vectors), measured at that subgoal's completion — answer
   /// tables only grow until completion, so this is the lifetime peak.
   uint64_t PeakSubgoalAnswerBytes = 0;
-  /// Largest supplementary-frontier footprint one SCC held when it
-  /// completed (the bytes releaseCompletedState then freed).
+  /// Largest frontier footprint freed at once: an SCC's at completion (what
+  /// releaseCompletedState freed) or a query's static-goal memo at its end.
   uint64_t PeakSccFrontierBytes = 0;
   /// Peak of tableSpaceBytes(), refreshed whenever that walk runs anyway:
   /// at every outermost-SCC completion (taken *before* the release, so the
@@ -187,8 +187,6 @@ struct TableWatermarks {
   uint64_t PeakTableSpaceBytes = 0;
 };
 
-/// One tabled subgoal: the canonicalized call, its answers, and SCC
-/// bookkeeping used for completion.
 /// Persistent intermediate state of evaluating one pure clause for one
 /// subgoal: the deduplicated set of partial derivations ("supplementary
 /// tables", the optimization the paper points to for deep clause bodies).
@@ -228,6 +226,8 @@ struct ClauseFrontier {
   size_t memoryBytes() const;
 };
 
+/// One tabled subgoal: the canonicalized call, its answers, and SCC
+/// bookkeeping used for completion.
 struct Subgoal {
   PredKey Pred;
   TermRef CallTerm; ///< Copy of the call in the table store.
@@ -683,13 +683,20 @@ private:
   void solveSemiGoal(TermRef G, uint64_t MinSeq,
                      const std::function<void()> &OnSolution);
 
+  /// solveSemiGoal for a static goal \p G, through the query's
+  /// StaticGoalMemo: SLD that stores the distinct solutions at a call
+  /// variant's first sight, a replay of them from the second on.
+  void solveStaticGoal(TermRef G, const std::function<void()> &OnSolution);
+
   /// \returns true if every body goal of \p C is free of control
   /// constructs (evaluable set-at-a-time).
   bool clauseIsPure(const Clause &C) const;
 
-  /// \returns true if the solutions of nontabled \p Key can never change
-  /// (no tabled predicate reachable from it).
-  bool isStaticPred(PredKey Key);
+  /// Static (Rules or Facts): \p Key's call cone, goals under control
+  /// constructs included, has no tabled predicate and no metacall, so its
+  /// solutions never change. Facts: all of \p Key's clauses are facts.
+  enum class Staticness : uint8_t { Dynamic, Rules, Facts };
+  Staticness staticness(PredKey Key);
 
   /// Creates/loads the subgoal for \p Goal and drives it as far toward
   /// completion as its SCC allows. \p GoalVars receives \p Goal's distinct
@@ -852,7 +859,7 @@ private:
   uint64_t DfnCounter = 0;
   uint64_t CutCounter = 0;
   uint64_t AnswerSeqCounter = 0;
-  std::unordered_map<uint64_t, bool> StaticPredCache;
+  std::unordered_map<uint64_t, Staticness> StaticPredCache;
   /// Highest answer sequence per predicate (for frontier skip checks).
   std::unordered_map<uint64_t, uint64_t> PredMaxAnswerSeq;
   /// Per-predicate answer joins (Section 6.2 aggregation).
@@ -950,6 +957,30 @@ private:
   std::vector<SharedTableSpace::ShardStats> SharedShardStats;
 
   /// @}
+
+  /// Solutions of the static goals frontiers called in the current
+  /// outermost query, by call variant (DESIGN.md §19.2).
+  struct StaticGoalMemo {
+    struct Entry {
+      bool Stored = false;   ///< Filled by an untruncated evaluation.
+      uint32_t DepBegin = 0; ///< Its slice of Deps.
+      uint32_t DepEnd = 0;
+    };
+    VariantCodeStore Calls{1}; ///< Call variants; code I is Entries[I]'s.
+    /// Level I: the distinct goal instances Entries[I]'s evaluation found,
+    /// in first-occurrence order.
+    VariantCodeStore Solutions{0};
+    std::vector<Entry> Entries;
+    /// Per entry, the callees recordPredDependency saw in its evaluation,
+    /// recorded again for the producer of each replay.
+    std::vector<PredKey> Deps;
+    size_t memoryBytes() const;
+  };
+  std::unique_ptr<StaticGoalMemo> Memo;
+  /// While a static goal's first evaluation runs: recordPredDependency
+  /// adds each callee to *DepCapture past DepCaptureBegin, once.
+  std::vector<PredKey> *DepCapture = nullptr;
+  size_t DepCaptureBegin = 0;
 };
 
 /// Evaluates an arithmetic expression over integers (is/2 and comparisons).

@@ -501,6 +501,47 @@ TEST(WarmColdIdentityTest, SharedTableSpaceSurvivesRetractAndReprime) {
 }
 
 //===----------------------------------------------------------------------===//
+// Static-goal memo replays keep their dependency edges
+//===----------------------------------------------------------------------===//
+
+TEST(StaticGoalMemoTest, ReplayRecordsTheCalleesOfTheStoredEvaluation) {
+  // s/1 is static and reads s2/1. In one query p calls s(X) twice and q
+  // once, so q's call replays what p's first call stored: q never runs
+  // s/1's clause itself, yet depends on s2/1 exactly as if it had.
+  SymbolTable Syms;
+  Database DB(Syms);
+  ASSERT_TRUE(DB.consult(R"(
+    :- table p/1.
+    :- table q/1.
+    s(X) :- s2(X).
+    s2(a). s2(b).
+    p(X) :- s(X).
+    p(X) :- s(X), X = a.
+    q(X) :- s(X).
+  )")
+                  .hasValue());
+  Solver Warm(DB);
+  auto Goal = Parser::parseTerm(Syms, Warm.store(), "p(X), q(Y)");
+  ASSERT_TRUE(Goal.hasValue());
+  EXPECT_EQ(Warm.solve(*Goal, nullptr), 4u);
+
+  ASSERT_TRUE(DB.retract("s2(b).").hasValue());
+  PredKey S2{Syms.intern("s2"), 1};
+  Solver::InvalidationResult R =
+      Warm.invalidateDependents(std::span<const PredKey>(&S2, 1));
+  EXPECT_EQ(R.TablesInvalidated, 2u);
+  for (const char *Call : {"p(X)", "q(X)"}) {
+    auto C = Parser::parseTerm(Syms, Warm.store(), Call);
+    ASSERT_TRUE(C.hasValue());
+    const Subgoal *SG = Warm.findSubgoal(*C);
+    ASSERT_NE(SG, nullptr) << Call;
+    EXPECT_TRUE(SG->Invalidated) << Call;
+  }
+  // Re-derived on the final program: s2(b) is gone from both.
+  EXPECT_EQ(Warm.solve(*Goal, nullptr), 1u);
+}
+
+//===----------------------------------------------------------------------===//
 // SharedTableSpace retirement protocol
 //===----------------------------------------------------------------------===//
 
