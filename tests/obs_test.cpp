@@ -1099,10 +1099,10 @@ const PinCase PinCases[] = {
       {0, 2, 98, 29},
       0}},
     {"strict_mergesort", PinKind::Strict, "mergesort",
-     {{289, 24, 65, 26, 24, 1615, 562, 0, 0, 0, 0},
-      1712973595200622563ull,
-      {289, 24, 65, 26, 1615, 24, 75, 24},
-      11356749560035967762ull,
+     {{289, 24, 65, 26, 24, 1026, 562, 0, 0, 0, 0},
+      15667345162164097706ull,
+      {289, 24, 65, 26, 1026, 24, 75, 24},
+      2837928190396149178ull,
       {78, 65, 695, 7, 0, 37},
       {0, 2, 65, 24},
       0}},

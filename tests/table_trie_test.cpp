@@ -503,7 +503,7 @@ TEST(TableResultsPinned, StrictnessResults) {
   }
   EXPECT_EQ(Rendered, (std::vector<std::string>{"ap e=ee d=dn", "len e=d d=d",
                                                 "rev e=e d=d"}));
-  expectTableCounts(R->Stats, 8, 32, 228, 150);
+  expectTableCounts(R->Stats, 8, 32, 196, 150);
 }
 
 } // namespace
