@@ -48,7 +48,7 @@ public:
   AbsInterp(SymbolTable &Symbols, const Database &DB,
             const DepthKAnalyzer::Options &Opts, EvalObserver *Obs)
       : Symbols(Symbols), DB(DB), Domain(Symbols, Opts.Depth), Opts(Opts),
-        Obs(Obs), StateSym(Symbols.intern("$state")) {
+        Obs(Obs) {
     if (Opts.RecordProvenance)
       Prov = std::make_unique<ProvenanceArena>();
   }
@@ -180,10 +180,12 @@ private:
   std::unique_ptr<ProvenanceArena> Prov;
   std::optional<ProvPremise> LastPremise;
 
-  SymbolId StateSym; ///< Functor of runEntry's clause-body states.
   /// Scratch of cutCall() and of runEntry's state building; neither
-  /// re-enters itself.
+  /// re-enters itself (runs are never nested: see runEntry).
   std::vector<TermRef> CutArgs, StateArgs;
+  /// runEntry's decoded state roots and the ones its successors keep.
+  std::vector<TermRef> Roots;
+  std::vector<uint32_t> Keep;
   VarRenaming CutRenaming;
 };
 
@@ -437,17 +439,18 @@ void AbsInterp::runEntry(Entry &E) {
     }
 
     // Set-at-a-time evaluation (the paper's footnote on join sizes): the
-    // states before goal J are $state(Call, body variables live at J), as
-    // in the engine's supplementary frontier (DESIGN.md §19). Each level
-    // is deduplicated by variant code, which caps the cross-product of
-    // answer choices at the number of distinct abstract states; states
-    // that differ only in dead variables have the same future and merge.
+    // states before goal J are the root tuples (Call, body variables live
+    // at J), as in the engine's supplementary frontier (DESIGN.md §19).
+    // Each level is deduplicated by variant code, which caps the
+    // cross-product of answer choices at the number of distinct abstract
+    // states; states that differ only in dead variables have the same
+    // future and merge.
     size_t NumGoals = C.Body.size();
     VariantCodeStore States(NumGoals + 1);
     StateArgs.assign(1, Call);
     for (const Clause::BodyVar &B : C.BodyVars)
       StateArgs.push_back(B.Cell + Delta); // All live at goal 0.
-    States.insert(0, Heap, Heap.mkStruct(StateSym, StateArgs));
+    States.insert(0, Heap, StateArgs);
     Heap.undoTo(M);
     // Premise lists travel with their state (index-parallel to a level):
     // each tabled resolution appends the consumed (entry, answer) pair, so
@@ -458,35 +461,23 @@ void AbsInterp::runEntry(Entry &E) {
 
     for (size_t J = 0; J < NumGoals && States.size(J); ++J) {
       NextProv.clear();
+      C.keptAfter(J, Keep);
       for (size_t SI = 0; SI < States.size(J); ++SI) {
         auto M2 = Heap.mark();
-        // Rebuild goal J from a fresh clause instance whose live variables
-        // are bound to this state's arguments.
-        TermRef Live = States.decode(J, SI, Heap);
-        TermRef Delta = DB.instantiate(C, Heap);
-        uint32_t Slot = 0;
-        for (const Clause::BodyVar &B : C.BodyVars)
-          if (B.LastGoal >= J)
-            Heap.bind(B.Cell + Delta, Heap.arg(Live, ++Slot));
-        solveGoal(E, C.Body[J] + Delta, [&]() {
+        // Build goal J around this state's roots.
+        States.decode(J, SI, Heap, Roots);
+        TermRef Goal = DB.instantiateGoal(
+            C, J, std::span<const TermRef>(Roots).subspan(1), Heap);
+        solveGoal(E, Goal, [&]() {
           // Project onto the variables still live after this goal.
-          auto M3 = Heap.mark();
-          StateArgs.assign(1, Heap.arg(Live, 0));
-          uint32_t Slot = 0;
-          for (const Clause::BodyVar &B : C.BodyVars) {
-            if (B.LastGoal < J)
-              continue; // Not in this state.
-            ++Slot;
-            if (B.LastGoal > J) // Still live after this goal.
-              StateArgs.push_back(Heap.arg(Live, Slot));
-          }
-          TermRef Next = Heap.mkStruct(StateSym, StateArgs);
-          if (States.insert(J + 1, Heap, Next).Inserted && Prov) {
+          StateArgs.assign(1, Roots[0]);
+          for (uint32_t K : Keep)
+            StateArgs.push_back(Roots[K]);
+          if (States.insert(J + 1, Heap, StateArgs).Inserted && Prov) {
             NextProv.push_back(CurProv[SI]);
             if (LastPremise)
               NextProv.back().push_back(*LastPremise);
           }
-          Heap.undoTo(M3);
         });
         Heap.undoTo(M2);
       }
@@ -496,8 +487,8 @@ void AbsInterp::runEntry(Entry &E) {
     // Surviving states yield answer patterns.
     for (size_t SI = 0; SI < States.size(NumGoals); ++SI) {
       auto M2 = Heap.mark();
-      TermRef Live = States.decode(NumGoals, SI, Heap);
-      recordAnswer(E, cutCall(E.Pred, Heap.deref(Heap.arg(Live, 0))),
+      States.decode(NumGoals, SI, Heap, Roots);
+      recordAnswer(E, cutCall(E.Pred, Heap.deref(Roots[0])),
                    static_cast<uint32_t>(ClauseIdx),
                    Prov ? &CurProv[SI] : nullptr);
       Heap.undoTo(M2);

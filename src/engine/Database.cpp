@@ -8,6 +8,7 @@
 #include "engine/Database.h"
 
 #include "reader/Parser.h"
+#include "term/StampedCellMap.h"
 #include "term/TermCopy.h"
 #include "term/TermWriter.h"
 #include "term/Variant.h"
@@ -37,7 +38,74 @@ std::string clauseVariantKey(TermStore &Store, SymbolId WrapSym, TermRef Head,
   return Key;
 }
 
+/// Scratch of one thread's instantiateGoal calls, which never re-enter.
+struct GoalScratch {
+  /// Clause variable (as an offset into its template) -> its term.
+  StampedCellMap VarMap;
+  struct Frame {
+    TermRef Node;     // Dereferenced Struct in the clause store.
+    uint32_t ArgBase; // Where this frame's argument copies start in Args.
+  };
+  std::vector<Frame> Frames;
+  std::vector<TermRef> Args;
+};
+
+thread_local GoalScratch GScratch;
+
 } // namespace
+
+TermRef Database::instantiateGoal(const Clause &C, size_t J,
+                                  std::span<const TermRef> Live,
+                                  TermStore &Dst) const {
+  GoalScratch &S = GScratch;
+  S.VarMap.reset(C.Hi - C.Lo);
+  size_t K = 0;
+  for (const Clause::BodyVar &B : C.BodyVars)
+    if (B.LastGoal >= J)
+      S.VarMap.set(B.Cell - C.Lo, Live[K++]);
+  assert(K == Live.size() && "one term per variable live at the goal");
+  // Iterative post-order build, as in copyTerm.
+  S.Frames.clear();
+  S.Args.clear();
+  TermRef Pending = C.Body[J];
+  while (true) {
+    TermRef D = ClauseStore.deref(Pending);
+    TermRef Done = InvalidTerm;
+    switch (ClauseStore.tag(D)) {
+    case TermTag::Ref:
+      Done = S.VarMap.find(D - C.Lo);
+      assert(Done != StampedCellMap::Missing && "goal variable not live");
+      break;
+    case TermTag::Atom:
+      Done = Dst.mkAtom(ClauseStore.symbol(D));
+      break;
+    case TermTag::Int:
+      Done = Dst.mkInt(ClauseStore.intValue(D));
+      break;
+    case TermTag::Struct:
+      S.Frames.push_back({D, static_cast<uint32_t>(S.Args.size())});
+      Pending = ClauseStore.arg(D, 0);
+      continue;
+    }
+    while (true) {
+      if (S.Frames.empty())
+        return Done;
+      GoalScratch::Frame F = S.Frames.back();
+      S.Args.push_back(Done);
+      uint32_t Have = static_cast<uint32_t>(S.Args.size()) - F.ArgBase;
+      uint32_t Arity = ClauseStore.arity(F.Node);
+      if (Have < Arity) {
+        Pending = ClauseStore.arg(F.Node, Have);
+        break;
+      }
+      Done = Dst.mkStruct(ClauseStore.symbol(F.Node),
+                          std::span<const TermRef>(S.Args.data() + F.ArgBase,
+                                                   Arity));
+      S.Args.resize(F.ArgBase);
+      S.Frames.pop_back();
+    }
+  }
+}
 
 void lpa::flattenConjunction(const TermStore &Store,
                              const SymbolTable &Symbols, TermRef Body,

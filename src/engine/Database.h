@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -72,6 +73,21 @@ struct Clause {
   /// A supplementary-frontier or depth-k clause-body state at level J
   /// stores the bindings of the ones live at J, in this order.
   std::vector<BodyVar> BodyVars;
+
+  /// Sets \p Out to the positions, among the roots of a level-J state
+  /// (Call first, then the variables live at J), of the variables still
+  /// live after goal J: the roots its successor state keeps.
+  void keptAfter(size_t J, std::vector<uint32_t> &Out) const {
+    Out.clear();
+    uint32_t Slot = 0;
+    for (const BodyVar &B : BodyVars) {
+      if (B.LastGoal < J)
+        continue; // Not in a level-J state.
+      ++Slot;
+      if (B.LastGoal > J)
+        Out.push_back(Slot);
+    }
+  }
 };
 
 /// All clauses of one predicate.
@@ -166,6 +182,15 @@ public:
   TermRef instantiate(const Clause &C, TermStore &Dst) const {
     return Dst.appendBlock(ClauseStore, C.Lo, C.Hi) - C.Lo;
   }
+
+  /// Builds goal \p J of stored clause \p C alone in \p Dst, with each
+  /// body variable live at J (Clause::BodyVars with LastGoal >= J, in that
+  /// order) replaced by the next term of \p Live: a frontier state's roots
+  /// after its call. \returns the goal. Copies only the goal's cells, as a
+  /// tree, and binds nothing.
+  TermRef instantiateGoal(const Clause &C, size_t J,
+                          std::span<const TermRef> Live,
+                          TermStore &Dst) const;
 
   SymbolTable &symbols() { return Symbols; }
   const SymbolTable &symbols() const { return Symbols; }

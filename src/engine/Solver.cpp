@@ -108,7 +108,6 @@ Solver::Solver(Database &DB, Options Opts)
   // Intern every symbol evaluation tests up front: the symbol table is
   // shared across parallel eval workers and interning mutates it, so no
   // eval path may intern.
-  StateSym = Symbols.intern("$state");
   ArrowSym = Symbols.intern("->");
 }
 
@@ -1256,7 +1255,7 @@ void Solver::solveStaticGoal(TermRef G,
                              const std::function<void()> &OnSolution) {
   if (!Memo)
     Memo = std::make_unique<StaticGoalMemo>();
-  VariantCodeStore::InsertResult Call = Memo->Calls.insert(0, Heap, G);
+  VariantCodeStore::InsertResult Call = Memo->Calls.insert(0, Heap, {&G, 1});
   if (Call.Inserted) {
     Memo->Entries.emplace_back();
     Memo->Solutions.addLevel();
@@ -1270,8 +1269,8 @@ void Solver::solveStaticGoal(TermRef G,
       recordPredDependency(Memo->Deps[I]);
     for (size_t I = 0, N = Memo->Solutions.size(Call.Index); I < N; ++I) {
       auto M = Heap.mark();
-      if (unify(Heap, G, Memo->Solutions.decode(Call.Index, I, Heap),
-                Opts.OccursCheck))
+      Memo->Solutions.decode(Call.Index, I, Heap, RootScratch);
+      if (unify(Heap, G, RootScratch[0], Opts.OccursCheck))
         OnSolution();
       Heap.undoTo(M);
     }
@@ -1285,7 +1284,7 @@ void Solver::solveStaticGoal(TermRef G,
     DepCaptureBegin = E.DepBegin;
     GoalNode Node{G, nullptr};
     solveGoals(&Node, /*Depth=*/1, ++CutCounter, [&]() {
-      Memo->Solutions.insert(Call.Index, Heap, G);
+      Memo->Solutions.insert(Call.Index, Heap, {&G, 1});
       OnSolution();
       return false;
     });
@@ -1329,13 +1328,12 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
       OldCountStack.resize(OldBase);
       return;
     }
-    // Level-0 state: $state(Call, live vars). Head variables shared with
-    // body goals carry the head unification's bindings.
-    StateArgScratch.assign(1, Call);
+    // Level-0 state: (Call, live vars). Head variables shared with body
+    // goals carry the head unification's bindings.
+    RootScratch.assign(1, Call);
     for (const Clause::BodyVar &B : C.BodyVars)
-      StateArgScratch.push_back(B.Cell + Delta); // All live at goal 0.
-    TermRef State = Heap.mkStruct(StateSym, StateArgScratch);
-    CF.Levels.insert(0, Heap, State);
+      RootScratch.push_back(B.Cell + Delta); // All live at goal 0.
+    CF.Levels.insert(0, Heap, RootScratch);
     ++Stats.TrieMisses; // The seed is always the level's first state.
     if (Prov)
       CF.Origins[0].push_back({}); // Seed: no predecessor, no premises.
@@ -1348,6 +1346,10 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
   uint64_t PrevWatermark = CF.Watermark;
   CF.Watermark = AnswerSeqCounter;
 
+  // The roots of the state being run and, per level, the ones its
+  // successors keep. Local: solveSemiGoal may re-enter.
+  std::vector<TermRef> Roots;
+  std::vector<uint32_t> Keep;
   for (size_t J = 0; J < NumGoals; ++J) {
     // The J-th goal's predicate is determined by the clause alone, so old
     // states can be skipped wholesale when that predicate has not gained
@@ -1375,40 +1377,29 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
     // Levels[J] does not grow while processing level J (solutions land in
     // J+1), so the plain loop bound is safe.
     size_t OldCount = OldCountStack[OldBase + J];
+    if (Policy == OldPolicy::Skip && OldCount == CF.Levels.size(J))
+      continue; // No state of this level runs.
+    C.keptAfter(J, Keep);
     for (size_t Idx = 0; Idx < CF.Levels.size(J); ++Idx) {
       bool IsOld = Idx < OldCount;
       uint64_t MinSeq = IsOld ? PrevWatermark : 0;
       if (IsOld && Policy == OldPolicy::Skip)
         continue;
       auto M = Heap.mark();
-      TermRef Live = CF.Levels.decode(J, Idx, Heap);
-      // Rebuild goal J from a fresh clause instance whose live variables
-      // are bound to this state's arguments (trailed; undone with M).
-      TermRef Delta = DB.instantiate(C, Heap);
-      uint32_t Slot = 0;
-      for (const Clause::BodyVar &B : C.BodyVars)
-        if (B.LastGoal >= J)
-          Heap.bind(B.Cell + Delta, Heap.arg(Live, ++Slot));
-      TermRef Goal = C.Body[J] + Delta;
+      CF.Levels.decode(J, Idx, Heap, Roots);
+      TermRef Goal = DB.instantiateGoal(
+          C, J, std::span<const TermRef>(Roots).subspan(1), Heap);
       // Premises this step consumes sit above StepBase while the frontier
       // callback runs (solveSemiGoal pushes around each answer return).
       size_t StepBase = PremiseStack.size();
       solveSemiGoal(Goal, MinSeq, [&]() {
-        // Project onto the variables still live after this goal.
-        auto M2 = Heap.mark();
-        StateArgScratch.assign(1, Heap.arg(Live, 0));
-        uint32_t Slot = 0;
-        for (const Clause::BodyVar &B : C.BodyVars) {
-          if (B.LastGoal < J)
-            continue; // Not in this state.
-          ++Slot;
-          if (B.LastGoal > J) // Still live after this goal.
-            StateArgScratch.push_back(Heap.arg(Live, Slot));
-        }
-        TermRef Next = Heap.mkStruct(StateSym, StateArgScratch);
-        // Fused check/insert: one encoding of the state is both the probe
-        // and, when new, the stored state.
-        if (CF.Levels.insert(J + 1, Heap, Next).Inserted) {
+        // Project onto the variables still live after this goal. Fused
+        // check/insert: one encoding of the state is both the probe and,
+        // when new, the stored state.
+        RootScratch.assign(1, Roots[0]);
+        for (uint32_t K : Keep)
+          RootScratch.push_back(Roots[K]);
+        if (CF.Levels.insert(J + 1, Heap, RootScratch).Inserted) {
           ++Stats.TrieMisses;
           if (Prov)
             CF.Origins[J + 1].push_back(
@@ -1418,7 +1409,6 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
         } else {
           ++Stats.TrieHits;
         }
-        Heap.undoTo(M2);
       });
       Heap.undoTo(M);
     }
@@ -1428,7 +1418,7 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
   for (size_t Idx = OldCountStack[OldBase + NumGoals];
        Idx < CF.Levels.size(NumGoals); ++Idx) {
     auto M = Heap.mark();
-    TermRef Live = CF.Levels.decode(NumGoals, Idx, Heap);
+    CF.Levels.decode(NumGoals, Idx, Heap, Roots);
     if (Prov) {
       // The final state's premise list is distributed along its Origin
       // chain; materialize it (in body-goal order) and hand it to
@@ -1440,7 +1430,7 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
       CurClauseIdx = static_cast<uint32_t>(ClauseIdx);
       PendingPremises = &SuppPremiseScratch;
     }
-    recordAnswer(SG, Heap.deref(Heap.arg(Live, 0)));
+    recordAnswer(SG, Heap.deref(Roots[0]));
     PendingPremises = nullptr;
     Heap.undoTo(M);
   }

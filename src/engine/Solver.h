@@ -195,12 +195,12 @@ struct TableWatermarks {
 struct ClauseFrontier {
   explicit ClauseFrontier(size_t NumGoals) : Levels(NumGoals + 1) {}
 
-  /// Level j: states with the first j body goals solved. A state is
-  /// $state(Call, V...) carrying the call instance plus the bindings of
+  /// Level j: states with the first j body goals solved. A state is the
+  /// root tuple (Call, V...): the call instance plus the bindings of
   /// exactly the clause variables still *live* (occurring in a goal >= j,
-  /// see Clause::BodyVars); goals themselves are rebuilt from the clause
-  /// template, so states stay small and dead bindings do not defeat
-  /// deduplication.
+  /// see Clause::BodyVars), so states stay small and dead bindings do not
+  /// defeat deduplication. Goal j itself is built from the clause store
+  /// around the decoded roots (Database::instantiateGoal).
   /// Each state is stored once, as its variant code: the code is both the
   /// dedup key and what a frontier pass decodes back into the heap, with
   /// fresh variables, to resume the state.
@@ -845,11 +845,11 @@ private:
   /// producer run's candidates (never live across a reentrant call).
   std::vector<TermRef> BindScratch;
   /// Same discipline: extractCallBindings' walk, the answer-tuple renaming
-  /// of recordAnswer/bindFactoredAnswer, and the state arguments the
-  /// supplementary frontier callback assembles.
+  /// of recordAnswer/bindFactoredAnswer, the state roots the supplementary
+  /// frontier callback projects, and a decoded static-goal solution.
   std::vector<std::pair<TermRef, TermRef>> BindWork;
   VarRenaming RenameScratch;
-  std::vector<TermRef> StateArgScratch;
+  std::vector<TermRef> RootScratch;
   /// Per-level old/new boundaries of the runClauseSupplementary calls in
   /// progress, stacked: a run owns the top NumGoals + 1 entries (indexed,
   /// since nested runs may grow the vector) and pops them on return.
@@ -933,9 +933,8 @@ private:
   /// \name Intra-query parallelism state.
   /// @{
 
-  /// Frequently-tested symbols, interned once at construction so no eval
+  /// A frequently-tested symbol, interned once at construction so no eval
   /// path interns (SymbolTable::intern mutates; workers share the table).
-  SymbolId StateSym;
   SymbolId ArrowSym;
   /// Shared table space this solver coordinates through, non-null only in
   /// worker solvers during a parallel phase (the lead owns the space on

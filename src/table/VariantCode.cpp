@@ -7,7 +7,7 @@
 
 #include "table/VariantCode.h"
 
-#include "term/TermCopy.h"
+#include "term/StampedCellMap.h"
 
 #include <cstring>
 
@@ -22,9 +22,11 @@ constexpr uint32_t MaxArity = uint32_t(1) << 30;
 /// Scratch of one thread's encoder and decoder calls; neither re-enters
 /// itself or the other, so one instance per thread serves every call.
 struct CodeScratch {
-  std::vector<TermRef> Work;
+  /// Encoder: the argument slots [first, second) of the structs entered
+  /// that are still to be encoded, innermost last.
+  std::vector<std::pair<TermRef, TermRef>> Slots;
   /// Encoder: heap variable -> its first-occurrence number.
-  VarRenaming VarNum;
+  StampedCellMap VarNum;
   struct Frame {
     SymbolId Sym;
     uint32_t Arity;
@@ -38,62 +40,91 @@ struct CodeScratch {
 
 thread_local CodeScratch Scratch;
 
-uint32_t hashCode(const uint64_t *W, size_t Len) {
-  uint64_t H = Len * 0x9E3779B97F4A7C15ull;
-  for (size_t I = 0; I < Len; ++I)
-    H = ((H << 5 | H >> 59) ^ W[I]) * 0x9E3779B97F4A7C15ull;
-  return static_cast<uint32_t>(H ^ (H >> 32));
+constexpr uint64_t HashMul = 0x9E3779B97F4A7C15ull;
+
+/// One step of the code hash: folds word \p W into \p H.
+uint64_t mixWord(uint64_t H, uint64_t W) {
+  return ((H << 5 | H >> 59) ^ W) * HashMul;
 }
 
 } // namespace
 
-void lpa::appendVariantCode(const TermStore &Store, TermRef T,
-                            std::vector<uint64_t> &Out) {
+uint32_t lpa::appendVariantCode(const TermStore &Store,
+                                std::span<const TermRef> Roots,
+                                std::vector<uint64_t> &Out) {
   CodeScratch &S = Scratch;
-  S.VarNum.clear();
-  S.Work.assign(1, T);
-  while (!S.Work.empty()) {
-    TermRef Cur = Store.deref(S.Work.back());
-    S.Work.pop_back();
-    switch (Store.tag(Cur)) {
-    case TermTag::Ref: {
-      TermRef N = S.VarNum.findOrInsert(
-          Cur, [&] { return static_cast<TermRef>(S.VarNum.size()); });
-      Out.push_back(uint64_t(N) << 2 | WVar);
-      break;
-    }
-    case TermTag::Atom:
-      Out.push_back(uint64_t(Store.symbol(Cur)) << 2 | WAtom);
-      break;
-    case TermTag::Int:
-      Out.push_back(WInt);
-      Out.push_back(static_cast<uint64_t>(Store.intValue(Cur)));
-      break;
-    case TermTag::Struct: {
-      uint32_t Arity = Store.arity(Cur);
-      assert(Arity < MaxArity && "arity does not fit a struct token");
-      Out.push_back(uint64_t(Arity) << 34 | uint64_t(Store.symbol(Cur)) << 2 |
-                    WStruct);
-      // Reverse push for left-to-right traversal (variable numbering).
-      for (uint32_t I = Arity; I-- > 0;)
-        S.Work.push_back(Store.arg(Cur, I));
-      break;
-    }
+  S.VarNum.reset(Store.size());
+  uint32_t NextVar = 0;
+  size_t Begin = Out.size();
+  uint64_t H = 0;
+  // Preorder, left to right (the variable numbering): a struct goes on
+  // to its first argument and leaves the rest of its slots pending.
+  S.Slots.clear();
+  for (TermRef Cur : Roots) {
+    while (true) {
+      Cur = Store.deref(Cur);
+      // Every token emits its word at the one site below (an integer its
+      // tag word first), so the hash stays in a register.
+      uint64_t W = 0;
+      TermTag Tag = Store.tag(Cur);
+      switch (Tag) {
+      case TermTag::Ref: {
+        uint32_t N = S.VarNum.find(Cur);
+        if (N == StampedCellMap::Missing)
+          S.VarNum.set(Cur, N = NextVar++);
+        W = uint64_t(N) << 2 | WVar;
+        break;
+      }
+      case TermTag::Atom:
+        W = uint64_t(Store.symbol(Cur)) << 2 | WAtom;
+        break;
+      case TermTag::Int:
+        Out.push_back(WInt);
+        H = mixWord(H, WInt);
+        W = static_cast<uint64_t>(Store.intValue(Cur));
+        break;
+      case TermTag::Struct: {
+        uint32_t Arity = Store.arity(Cur);
+        assert(Arity < MaxArity && "arity does not fit a struct token");
+        W = uint64_t(Arity) << 34 | uint64_t(Store.symbol(Cur)) << 2 |
+            WStruct;
+        break;
+      }
+      }
+      Out.push_back(W);
+      H = mixWord(H, W);
+      if (Tag == TermTag::Struct) {
+        uint32_t Arity = Store.arity(Cur);
+        Cur = Store.arg(Cur, 0);
+        if (Arity > 1)
+          S.Slots.push_back({Cur + 1, Cur + Arity});
+        continue;
+      }
+      if (S.Slots.empty())
+        break;
+      auto &[Next, End] = S.Slots.back();
+      Cur = Next++;
+      if (Next == End)
+        S.Slots.pop_back();
     }
   }
+  H = (H ^ (Out.size() - Begin)) * HashMul;
+  return static_cast<uint32_t>(H ^ (H >> 32));
 }
 
-TermRef lpa::decodeVariantCode(std::span<const uint64_t> Code,
-                               TermStore &Dst) {
+void lpa::decodeVariantCode(std::span<const uint64_t> Code, TermStore &Dst,
+                            std::vector<TermRef> &Roots) {
   // Preorder in, post-order out: a struct token opens a frame, and each
-  // finished value completes the frames it fills (as in copyTerm).
+  // finished value completes the frames it fills (as in copyTerm). A value
+  // that completes every open frame is the next root.
   CodeScratch &S = Scratch;
   S.Frames.clear();
   S.Args.clear();
   S.Vars.clear();
+  Roots.clear();
   for (size_t I = 0; I < Code.size(); ++I) {
     uint64_t W = Code[I];
-    TermRef Done;
+    TermRef Done = InvalidTerm;
     switch (W & 3) {
     case WVar: {
       // Numbers are dense in first-occurrence order: a new one is next.
@@ -118,8 +149,8 @@ TermRef lpa::decodeVariantCode(std::span<const uint64_t> Code,
     }
     while (true) {
       if (S.Frames.empty()) {
-        assert(I + 1 == Code.size() && "trailing words after the code");
-        return Done;
+        Roots.push_back(Done);
+        break;
       }
       S.Args.push_back(Done);
       CodeScratch::Frame F = S.Frames.back();
@@ -131,17 +162,16 @@ TermRef lpa::decodeVariantCode(std::span<const uint64_t> Code,
       S.Frames.pop_back();
     }
   }
-  assert(false && "truncated variant code");
-  return InvalidTerm;
+  assert(S.Frames.empty() && "truncated variant code");
 }
 
 VariantCodeStore::InsertResult
-VariantCodeStore::insert(size_t LevelIdx, const TermStore &Store, TermRef T) {
+VariantCodeStore::insert(size_t LevelIdx, const TermStore &Store,
+                         std::span<const TermRef> Roots) {
   Level &L = Levels[LevelIdx];
   size_t Off = Arena.size();
-  appendVariantCode(Store, T, Arena);
+  uint32_t Hash = appendVariantCode(Store, Roots, Arena);
   uint32_t Len = static_cast<uint32_t>(Arena.size() - Off);
-  uint32_t Hash = hashCode(Arena.data() + Off, Len);
   auto Equal = [&](const Span &Sp) {
     return Sp.Hash == Hash && Sp.Len == Len &&
            std::memcmp(Arena.data() + Sp.Off, Arena.data() + Off,

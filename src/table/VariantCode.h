@@ -6,11 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A variant code is a term flattened to a word string: the same preorder
-/// token sequence a TermTrie path spells and canonicalKey() encodes, with
-/// variables numbered by first occurrence, so two terms have equal codes
-/// iff they are variants. One 64-bit word per token; an integer takes a
-/// second word for its value:
+/// A variant code is a tuple of terms (its *roots*) flattened to one word
+/// string: each root's preorder token sequence, the one a TermTrie path
+/// spells and canonicalKey() encodes, one after the other, with variables
+/// numbered by first occurrence across all the roots. Two tuples have
+/// equal codes iff they are equally long and wrapping each in one struct
+/// gives variants, so sharing between roots counts: (X, f(X)) and
+/// (X, f(Y)) differ. One 64-bit word per token; an integer takes a second
+/// word for its value:
 ///
 ///   Var(n)            n << 2 | 0
 ///   Atom(sym)       sym << 2 | 1
@@ -18,13 +21,13 @@
 ///   Struct(sym, n)    n << 34 | sym << 2 | 3     (arity below 2^30)
 ///
 /// The code is complete: decodeVariantCode() rebuilds a variant of the
-/// term in any store with fresh variables. Bindings are resolved while
-/// encoding and subterm sharing is not recorded, so the decoded term is
-/// the resolved term as a tree.
+/// tuple in any store with fresh variables. Bindings are resolved while
+/// encoding and subterm sharing is not recorded, so the decoded roots are
+/// the resolved terms as trees.
 ///
 /// VariantCodeStore keeps such codes deduplicated in numbered levels: the
 /// states of a supplementary frontier or of a depth-k clause body, or the
-/// solutions of static goals (DESIGN.md §19), stored once each.
+/// calls and solutions of static goals (DESIGN.md §19), stored once each.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,15 +42,20 @@
 
 namespace lpa {
 
-/// Appends the variant code of \p T to \p Out. Iterative, so deep terms
-/// (long lists) need no native stack; per-thread scratch makes it
-/// allocation-free once warm.
-void appendVariantCode(const TermStore &Store, TermRef T,
-                       std::vector<uint64_t> &Out);
+/// Appends the variant code of the tuple \p Roots to \p Out and \returns
+/// a hash of the appended words, computed in the same pass. Iterative, so
+/// deep terms (long lists) need no native stack; variables are numbered
+/// through a per-thread StampedCellMap, O(1) per occurrence.
+/// Allocation-free once the per-thread scratch is warm.
+uint32_t appendVariantCode(const TermStore &Store,
+                           std::span<const TermRef> Roots,
+                           std::vector<uint64_t> &Out);
 
-/// Builds the term spelled by \p Code (one complete code) in \p Dst with
-/// fresh variables and \returns its root. Iterative, like the encoder.
-TermRef decodeVariantCode(std::span<const uint64_t> Code, TermStore &Dst);
+/// Builds the tuple spelled by \p Code (one complete code) in \p Dst with
+/// fresh variables and stores its roots, in order, in \p Roots (replacing
+/// what it held). Iterative, like the encoder.
+void decodeVariantCode(std::span<const uint64_t> Code, TermStore &Dst,
+                       std::vector<TermRef> &Roots);
 
 /// Sets of variant codes in numbered levels that share one word arena. A
 /// level keeps one span per code, in insertion order, plus an
@@ -62,9 +70,11 @@ public:
 
   explicit VariantCodeStore(size_t NumLevels) : Levels(NumLevels) {}
 
-  /// Fused check/insert of \p T into \p Level: encodes it into the arena's
-  /// tail, probes the level, and truncates the tail again on a hit.
-  InsertResult insert(size_t Level, const TermStore &Store, TermRef T);
+  /// Fused check/insert of the tuple \p Roots into \p Level: encodes it
+  /// into the arena's tail, probes the level, and truncates the tail again
+  /// on a hit.
+  InsertResult insert(size_t Level, const TermStore &Store,
+                      std::span<const TermRef> Roots);
 
   /// Appends an empty level, numbered after the existing ones.
   void addLevel() { Levels.emplace_back(); }
@@ -79,8 +89,9 @@ public:
   }
 
   /// decodeVariantCode() of the code at \p Index of \p Level.
-  TermRef decode(size_t Level, size_t Index, TermStore &Dst) const {
-    return decodeVariantCode(code(Level, Index), Dst);
+  void decode(size_t Level, size_t Index, TermStore &Dst,
+              std::vector<TermRef> &Roots) const {
+    decodeVariantCode(code(Level, Index), Dst, Roots);
   }
 
   /// Bytes held by the arena, spans and indexes.

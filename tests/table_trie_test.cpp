@@ -243,11 +243,32 @@ private:
   std::vector<TermRef> Built;
 };
 
-/// The variant code of \p T as a fresh vector.
-std::vector<uint64_t> codeOf(const TermStore &S, TermRef T) {
+/// The variant code of the tuple \p Roots as a fresh vector.
+std::vector<uint64_t> codeOf(const TermStore &S,
+                             std::span<const TermRef> Roots) {
   std::vector<uint64_t> Code;
-  appendVariantCode(S, T, Code);
+  appendVariantCode(S, Roots, Code);
   return Code;
+}
+
+/// The variant code of \p T as a one-root tuple.
+std::vector<uint64_t> codeOf(const TermStore &S, TermRef T) {
+  return codeOf(S, {&T, 1});
+}
+
+/// Decodes a one-root code and \returns its root.
+TermRef decodeOne(std::span<const uint64_t> Code, TermStore &Dst) {
+  std::vector<TermRef> Roots;
+  decodeVariantCode(Code, Dst, Roots);
+  EXPECT_EQ(Roots.size(), 1u);
+  return Roots.empty() ? InvalidTerm : Roots[0];
+}
+
+/// VariantCodeStore::insert of \p T as a one-root tuple.
+VariantCodeStore::InsertResult insertOne(VariantCodeStore &Codes,
+                                         size_t Level, const TermStore &S,
+                                         TermRef T) {
+  return Codes.insert(Level, S, {&T, 1});
 }
 
 TEST_F(TermTrieTest, PropertyTrieEqualsCanonicalKeyEquality) {
@@ -273,13 +294,13 @@ TEST_F(TermTrieTest, PropertyTrieEqualsCanonicalKeyEquality) {
     auto [CIt, CNew] = FirstByCode.emplace(Code, NextValue);
     EXPECT_EQ(CNew, New) << "term " << I;
     EXPECT_EQ(CIt->second, It->second) << "term " << I;
-    auto CR = Codes.insert(0, S, T);
+    auto CR = insertOne(Codes, 0, S, T);
     EXPECT_EQ(CR.Inserted, New) << "term " << I;
     EXPECT_EQ(CR.Index, It->second) << "term " << I;
     auto Stored = Codes.code(0, CR.Index);
     EXPECT_TRUE(std::equal(Stored.begin(), Stored.end(), Code.begin(),
                            Code.end()));
-    TermRef Back = decodeVariantCode(Code, S);
+    TermRef Back = decodeOne(Code, S);
     EXPECT_TRUE(isVariant(S, T, Back)) << "term " << I;
     EXPECT_EQ(codeOf(S, Back), Code) << "term " << I;
     if (New)
@@ -290,6 +311,87 @@ TEST_F(TermTrieTest, PropertyTrieEqualsCanonicalKeyEquality) {
   // Sanity: the workload actually produced both hits and misses.
   EXPECT_GT(FirstByKey.size(), 50u);
   EXPECT_LT(FirstByKey.size(), 500u);
+}
+
+TEST_F(TermTrieTest, PropertyTupleCodesEqualWrappedVariance) {
+  // A root tuple is coded as the struct wrapping it, less the wrapper:
+  // two tuples of one length have equal codes iff their wrappings are
+  // variants, and a level of tuples makes the same hit/miss decisions, at
+  // the same indexes, as a level of their wrappings. Roots come from a pool
+  // of random terms over one set of variables, so cross-root sharing varies
+  // from tuple to tuple; the pool shrinks as tuples grow, to keep hits.
+  RandomTermGen Gen(Syms, S, /*Seed=*/0x7E57);
+  std::mt19937 Rng(7);
+  SymbolId Wrap = Syms.intern("$w");
+  for (auto [Len, PoolSize] : {std::pair<size_t, size_t>{1, 120},
+                               {2, 16},
+                               {4, 5}}) {
+    SCOPED_TRACE("tuple length " + std::to_string(Len));
+    std::vector<TermRef> Pool;
+    for (size_t I = 0; I < PoolSize; ++I)
+      Pool.push_back(Gen.gen(/*Depth=*/2));
+    std::map<std::string, uint32_t> FirstByKey;
+    VariantCodeStore Tuples(/*NumLevels=*/1), Wrapped(/*NumLevels=*/1);
+    for (int I = 0; I < 400; ++I) {
+      std::vector<TermRef> Roots;
+      for (size_t R = 0; R < Len; ++R)
+        Roots.push_back(Pool[Rng() % PoolSize]);
+      TermRef W = S.mkStruct(Wrap, Roots);
+      auto [It, New] = FirstByKey.emplace(
+          canonicalKey(S, W), static_cast<uint32_t>(FirstByKey.size()));
+      auto TR = Tuples.insert(0, S, Roots);
+      auto WR = insertOne(Wrapped, 0, S, W);
+      EXPECT_EQ(TR.Inserted, New) << "tuple " << I;
+      EXPECT_EQ(TR.Index, It->second) << "tuple " << I;
+      EXPECT_EQ(WR.Inserted, TR.Inserted) << "tuple " << I;
+      EXPECT_EQ(WR.Index, TR.Index) << "tuple " << I;
+      // The tuple's code is the wrapping's code after its struct token.
+      std::vector<uint64_t> Code = codeOf(S, Roots);
+      std::vector<uint64_t> WCode = codeOf(S, W);
+      EXPECT_TRUE(std::equal(Code.begin(), Code.end(), WCode.begin() + 1,
+                             WCode.end()))
+          << "tuple " << I;
+      // Decoding gives a variant tuple, sharing included.
+      std::vector<TermRef> Back;
+      decodeVariantCode(Code, S, Back);
+      ASSERT_EQ(Back.size(), Len);
+      EXPECT_TRUE(isVariant(S, W, S.mkStruct(Wrap, Back))) << "tuple " << I;
+      EXPECT_EQ(codeOf(S, Back), Code) << "tuple " << I;
+    }
+    // Both hits and misses, in numbers.
+    EXPECT_EQ(Tuples.size(0), FirstByKey.size());
+    EXPECT_GT(FirstByKey.size(), 25u);
+    EXPECT_LT(FirstByKey.size(), 375u);
+  }
+}
+
+TEST_F(TermTrieTest, TupleCodeKeepsCrossRootSharing) {
+  // (X, f(X)) and (X, f(Y)) are not variants: the numbering runs across
+  // the roots, and decoding keeps the one variable shared.
+  TermRef X = S.mkVar(), Y = S.mkVar();
+  SymbolId F = Syms.intern("f");
+  TermRef Shared[2] = {X, S.mkStruct(F, std::span<const TermRef>(&X, 1))};
+  TermRef Apart[2] = {X, S.mkStruct(F, std::span<const TermRef>(&Y, 1))};
+  EXPECT_NE(codeOf(S, Shared), codeOf(S, Apart));
+  VariantCodeStore Codes(/*NumLevels=*/1);
+  EXPECT_TRUE(Codes.insert(0, S, Shared).Inserted);
+  EXPECT_TRUE(Codes.insert(0, S, Apart).Inserted);
+  EXPECT_FALSE(Codes.insert(0, S, Shared).Inserted);
+
+  TermStore Dst;
+  std::vector<TermRef> Back;
+  Codes.decode(0, 0, Dst, Back);
+  ASSERT_EQ(Back.size(), 2u);
+  EXPECT_TRUE(Dst.isUnboundVar(Back[0]));
+  EXPECT_EQ(Dst.deref(Dst.arg(Back[1], 0)), Dst.deref(Back[0]));
+  Codes.decode(0, 1, Dst, Back);
+  ASSERT_EQ(Back.size(), 2u);
+  EXPECT_NE(Dst.deref(Dst.arg(Back[1], 0)), Dst.deref(Back[0]));
+  // A repeated root is one variable too.
+  TermRef Twice[2] = {Y, Y};
+  Codes.decode(0, Codes.insert(0, S, Twice).Index, Dst, Back);
+  ASSERT_EQ(Back.size(), 2u);
+  EXPECT_EQ(Dst.deref(Back[0]), Dst.deref(Back[1]));
 }
 
 TEST_F(TermTrieTest, VariantCodeEdgeValuesRoundTrip) {
@@ -304,7 +406,7 @@ TEST_F(TermTrieTest, VariantCodeEdgeValuesRoundTrip) {
   TermRef Wide = S.mkStruct(Max, Args);
   std::vector<uint64_t> Code = codeOf(S, Wide);
   TermStore Dst;
-  TermRef Back = decodeVariantCode(Code, Dst);
+  TermRef Back = decodeOne(Code, Dst);
   ASSERT_EQ(Dst.tag(Back), TermTag::Struct);
   EXPECT_EQ(Dst.symbol(Back), Max);
   ASSERT_EQ(Dst.arity(Back), Args.size());
@@ -330,10 +432,13 @@ TEST_F(TermTrieTest, VariantCodeOfSharedDagEqualsItsTreeCopy) {
   EXPECT_EQ(codeOf(S, Dag), codeOf(S, Tree));
   EXPECT_NE(codeOf(S, Dag), codeOf(S, parse("f(g(Y, h(Y)), g(Z, h(Z)))")));
   VariantCodeStore Codes(/*NumLevels=*/2);
-  EXPECT_TRUE(Codes.insert(1, S, Dag).Inserted);
-  EXPECT_FALSE(Codes.insert(1, S, Tree).Inserted);
-  EXPECT_TRUE(Codes.insert(0, S, Tree).Inserted); // Levels are separate.
-  EXPECT_TRUE(isVariant(S, Dag, Codes.decode(1, 0, S)));
+  EXPECT_TRUE(insertOne(Codes, 1, S, Dag).Inserted);
+  EXPECT_FALSE(insertOne(Codes, 1, S, Tree).Inserted);
+  EXPECT_TRUE(insertOne(Codes, 0, S, Tree).Inserted); // Levels are separate.
+  std::vector<TermRef> Back;
+  Codes.decode(1, 0, S, Back);
+  ASSERT_EQ(Back.size(), 1u);
+  EXPECT_TRUE(isVariant(S, Dag, Back[0]));
 }
 
 TEST_F(TermTrieTest, VariantCodeOfLongListIsIterative) {
@@ -346,9 +451,17 @@ TEST_F(TermTrieTest, VariantCodeOfLongListIsIterative) {
   std::vector<uint64_t> Code = codeOf(S, List);
   EXPECT_EQ(Code.size(), 2 * Elems.size() + 1);
   TermStore Dst;
-  TermRef Back = decodeVariantCode(Code, Dst);
+  TermRef Back = decodeOne(Code, Dst);
   EXPECT_EQ(codeOf(Dst, Back), Code);
   EXPECT_TRUE(Dst.isUnboundVar(Dst.arg(Back, 0)));
+  // The same variables as 100k roots of one tuple.
+  Code = codeOf(S, Elems);
+  ASSERT_EQ(Code.size(), Elems.size());
+  EXPECT_EQ(Code.back(), uint64_t(Elems.size() - 1) << 2);
+  std::vector<TermRef> Roots;
+  decodeVariantCode(Code, Dst, Roots);
+  ASSERT_EQ(Roots.size(), Elems.size());
+  EXPECT_EQ(codeOf(Dst, Roots), Code);
 }
 
 TEST_F(TermTrieTest, VariantCodeStoreIndexesLargeLevels) {
@@ -356,13 +469,13 @@ TEST_F(TermTrieTest, VariantCodeStoreIndexesLargeLevels) {
   // code stays findable, and a hit leaves the arena as it was.
   VariantCodeStore Codes(/*NumLevels=*/1);
   for (int I = 0; I < 1000; ++I)
-    EXPECT_TRUE(Codes.insert(0, S, parse(("p(X, " + std::to_string(I) +
-                                          ")").c_str()))
+    EXPECT_TRUE(insertOne(Codes, 0, S,
+                          parse(("p(X, " + std::to_string(I) + ")").c_str()))
                     .Inserted);
   size_t Bytes = Codes.memoryBytes();
   for (int I = 0; I < 1000; ++I) {
-    auto R = Codes.insert(
-        0, S, parse(("p(Y, " + std::to_string(I) + ")").c_str()));
+    auto R = insertOne(Codes, 0, S,
+                       parse(("p(Y, " + std::to_string(I) + ")").c_str()));
     EXPECT_FALSE(R.Inserted);
     EXPECT_EQ(R.Index, static_cast<uint32_t>(I));
   }

@@ -13,6 +13,7 @@
 #include "engine/Solver.h"
 #include "reader/Parser.h"
 #include "strictness/Strictness.h"
+#include "table/VariantCode.h"
 #include "term/TermWriter.h"
 
 #include <gtest/gtest.h>
@@ -323,8 +324,8 @@ TEST_F(TablingTest, SupplementaryGoalSeesLiveVariableBoundFurther) {
 }
 
 TEST_F(TablingTest, FrontierDedupsVariantStatesAcrossSharing) {
-  // Both q/1 solutions project goal 0's successor state onto
-  // $state(t(Z), f(g(V), g(V)), Z): the fact builds a tree with two g/1
+  // Both q/1 solutions project goal 0's successor state onto the root
+  // tuple (t(Z), f(g(V), g(V)), Z): the fact builds a tree with two g/1
   // cells, the rule one g/1 cell shared by both arguments, and every
   // solution has fresh variables. Variant dedup must keep one state.
   consult(R"(
@@ -344,6 +345,71 @@ TEST_F(TablingTest, FrontierDedupsVariantStatesAcrossSharing) {
   const EvalStats &St = S.stats();
   EXPECT_EQ(St.TrieHits, 1u);
   EXPECT_EQ(St.TrieMisses, 5u);
+}
+
+TEST_F(TablingTest, GoalFromRootsMatchesBoundClauseInstance) {
+  // Database::instantiateGoal builds goal J alone around a state's roots.
+  // At every level of every clause, that goal and the live terms must code
+  // like goal J of a whole clause instance whose live variables are bound
+  // to the same terms. Covered: a repeated variable (p(X, X)), head
+  // variables shared with the body, a variable first occurring at goal 1
+  // (W) and one only in the last goal (V), ground goals and nesting.
+  consult(R"(
+    c1(X, Y) :- p(X, X), q(f(X, Z), g(Z)), r(Z, Y).
+    c2(X) :- p(X, a), q(X, W), r(W, h(W, [1, X])), s(W).
+    c3 :- p(a, b), q(U, U), r(U, V, V).
+  )");
+  SymbolId F = Syms.intern("k");
+  TermStore Heap;
+  size_t Checked = 0;
+  for (auto [Name, Arity] : {std::pair<const char *, uint32_t>{"c1", 2},
+                             {"c2", 1},
+                             {"c3", 0}}) {
+    const Predicate *P = DB.lookup({Syms.lookup(Name), Arity});
+    ASSERT_NE(P, nullptr) << Name;
+    const Clause &C = P->Clauses[0];
+    for (size_t J = 0; J < C.Body.size(); ++J) {
+      SCOPED_TRACE(std::string(Name) + " goal " + std::to_string(J));
+      auto M = Heap.mark();
+      // Live terms: fresh variables, one shared by two slots, and a
+      // struct, so a mixed-up slot shows in the code.
+      std::vector<TermRef> Live;
+      TermRef Shared = Heap.mkVar();
+      for (const Clause::BodyVar &B : C.BodyVars) {
+        if (B.LastGoal < J)
+          continue;
+        switch (Live.size() % 3) {
+        case 0:
+          Live.push_back(Heap.mkVar());
+          break;
+        case 1:
+          Live.push_back(Shared);
+          break;
+        default:
+          Live.push_back(
+              Heap.mkStruct(F, std::span<const TermRef>(&Shared, 1)));
+        }
+      }
+      TermRef Delta = DB.instantiate(C, Heap);
+      size_t K = 0;
+      for (const Clause::BodyVar &B : C.BodyVars)
+        if (B.LastGoal >= J)
+          Heap.bind(B.Cell + Delta, Live[K++]);
+      std::vector<TermRef> Old{C.Body[J] + Delta}, New{
+          DB.instantiateGoal(C, J, Live, Heap)};
+      Old.insert(Old.end(), Live.begin(), Live.end());
+      New.insert(New.end(), Live.begin(), Live.end());
+      std::vector<uint64_t> OldCode, NewCode;
+      appendVariantCode(Heap, Old, OldCode);
+      appendVariantCode(Heap, New, NewCode);
+      EXPECT_EQ(NewCode, OldCode);
+      EXPECT_EQ(TermWriter::toString(Syms, Heap, New[0]),
+                TermWriter::toString(Syms, Heap, Old[0]));
+      Heap.undoTo(M);
+      ++Checked;
+    }
+  }
+  EXPECT_EQ(Checked, 10u);
 }
 
 TEST_F(TablingTest, FrontierCountsArePinned) {
