@@ -17,9 +17,12 @@
 #define LPA_BENCH_BENCHUTIL_H
 
 #include "obs/Json.h"
+#include "support/ParseNumber.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -86,6 +89,26 @@ inline std::string jsonOutPath(int Argc, char **Argv, const char *Default) {
       return Argv[I + 1];
     if (A.substr(0, 7) == "--json=")
       return std::string(A.substr(7));
+  }
+  return Default;
+}
+
+/// The value of "\p Flag N" in \p Argv, or \p Default when the flag is
+/// absent. A value that is not a whole unsigned decimal ends the program
+/// with status 2, as a usage error.
+inline size_t sizeArg(int Argc, char **Argv, const char *Flag,
+                      size_t Default) {
+  for (int I = 1; I + 1 < Argc; ++I) {
+    if (std::string_view(Argv[I]) != Flag)
+      continue;
+    size_t V = 0;
+    if (!parseUnsigned(Argv[I + 1], std::numeric_limits<size_t>::max(), V)) {
+      std::fprintf(stderr,
+                   "usage: %s: %s takes an unsigned integer, not '%s'\n",
+                   Argv[0], Flag, Argv[I + 1]);
+      std::exit(2);
+    }
+    return V;
   }
   return Default;
 }

@@ -40,9 +40,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <string_view>
 #include <vector>
 
 using namespace lpa;
@@ -255,13 +253,6 @@ ArmResult runCorpus(const CorpusProgram &P) {
     }
     return true;
   });
-}
-
-size_t sizeArg(int Argc, char **Argv, const char *Flag, size_t Default) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::string_view(Argv[I]) == Flag)
-      return std::strtoul(Argv[I + 1], nullptr, 10);
-  return Default;
 }
 
 } // namespace

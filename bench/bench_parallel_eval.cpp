@@ -37,7 +37,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -172,13 +171,6 @@ GroundnessRun runGroundness(const CorpusProgram &P, size_t Workers,
         " dangling=" + std::to_string(Res->DanglingPremises));
   R.Ok = true;
   return R;
-}
-
-size_t sizeArg(int Argc, char **Argv, const char *Flag, size_t Default) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (std::string_view(Argv[I]) == Flag)
-      return std::strtoul(Argv[I + 1], nullptr, 10);
-  return Default;
 }
 
 } // namespace

@@ -26,8 +26,8 @@
 #include "obs/Log.h"
 #include "srv/Protocol.h"
 #include "srv/Session.h"
+#include "support/ParseNumber.h"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,18 +46,6 @@ namespace {
 /// Upper bound on --eval-workers: far above any useful pool size, low
 /// enough that per-worker allocations stay small.
 constexpr size_t MaxEvalWorkers = 256;
-
-/// Parses all of \p Text as an unsigned decimal no larger than \p Max.
-/// Signs, empty text, trailing characters and overflow all fail.
-template <typename T>
-bool parseUnsigned(std::string_view Text, T Max, T &Out) {
-  T V{};
-  auto [End, Err] = std::from_chars(Text.data(), Text.data() + Text.size(), V);
-  if (Err != std::errc() || End != Text.data() + Text.size() || V > Max)
-    return false;
-  Out = V;
-  return true;
-}
 
 int usage(const char *Argv0) {
   std::fprintf(stderr,

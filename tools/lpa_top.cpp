@@ -22,17 +22,22 @@
 // --sort contention ranks the shared-space shards by their lock
 // contention ratio (tables fall back to bytes order).
 //
-// Exit: 0 on success, 1 on protocol errors, 2 on usage/connection errors.
+// Exit: 0 on success, 1 on protocol errors, 2 on usage/connection errors
+// (usage: an unknown flag, or a --top/--watch value that is not a whole
+// unsigned decimal in range).
 //
 //===----------------------------------------------------------------------===//
 
 #include "obs/MetricsHistory.h"
 #include "support/JsonValue.h"
+#include "support/ParseNumber.h"
 #include "support/TableFormat.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -274,22 +279,27 @@ bool fetchObject(std::FILE *In, std::FILE *Out, const std::string &Req,
 
 int main(int argc, char **argv) {
   std::string SocketPath;
-  unsigned long TopN = 10;
+  uint32_t TopN = 10;
   std::string Sort = "bytes";
-  unsigned long WatchSecs = 0;
+  unsigned WatchSecs = 0; // What sleep() takes.
 
   for (int I = 1; I < argc; ++I) {
     std::string_view A = argv[I];
     if (A == "--socket" && I + 1 < argc)
       SocketPath = argv[++I];
-    else if (A == "--top" && I + 1 < argc)
-      TopN = std::strtoul(argv[++I], nullptr, 10);
-    else if (A == "--sort" && I + 1 < argc)
+    else if (A == "--top" && I + 1 < argc) {
+      if (!parseUnsigned(argv[++I], std::numeric_limits<uint32_t>::max(),
+                         TopN))
+        return usage(argv[0]);
+    } else if (A == "--sort" && I + 1 < argc) {
       Sort = argv[++I];
-    else if (A == "--watch" && I + 1 < argc)
-      WatchSecs = std::strtoul(argv[++I], nullptr, 10);
-    else
+    } else if (A == "--watch" && I + 1 < argc) {
+      if (!parseUnsigned(argv[++I], std::numeric_limits<unsigned>::max(),
+                         WatchSecs))
+        return usage(argv[0]);
+    } else {
       return usage(argv[0]);
+    }
   }
   if (SocketPath.empty() ||
       (Sort != "bytes" && Sort != "answers" && Sort != "contention"))
@@ -336,7 +346,7 @@ int main(int argc, char **argv) {
     std::fflush(stdout);
     if (!WatchSecs)
       break;
-    ::sleep(static_cast<unsigned>(WatchSecs));
+    ::sleep(WatchSecs);
   }
 
   std::fclose(In);
