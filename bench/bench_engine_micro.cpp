@@ -14,6 +14,7 @@
 #include "engine/Solver.h"
 #include "obs/EvalObserver.h"
 #include "reader/Parser.h"
+#include "table/VariantCode.h"
 #include "term/TermCopy.h"
 #include "term/Unify.h"
 #include "term/Variant.h"
@@ -21,6 +22,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -335,6 +338,50 @@ void BM_EvalObserver(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * 4 * N * N);
 }
 BENCHMARK(BM_EvalObserver)->Arg(0)->Arg(1);
+
+/// Supplementary-frontier state probes: VariantCodeStore::insert of a
+/// 6-root projected state with 3 variables, (p(X, f(Y), I), X, Y, g(Z, X),
+/// Z, h(I, [Y])), for 1024 distinct I. Arg 0: every probe misses, so it is
+/// encoded and stored; the level is replaced by an empty one (untimed)
+/// after each 1024. Arg 1: every probe hits a level already holding all
+/// 1024, so it is encoded, found and dropped.
+void BM_FrontierStateProbe(benchmark::State &State) {
+  constexpr size_t NumStates = 1024;
+  SymbolTable Syms;
+  TermStore Heap;
+  SymbolId P = Syms.intern("p"), F = Syms.intern("f"), G = Syms.intern("g"),
+           H = Syms.intern("h");
+  std::vector<std::array<TermRef, 6>> States;
+  for (size_t I = 0; I < NumStates; ++I) {
+    TermRef X = Heap.mkVar(), Y = Heap.mkVar(), Z = Heap.mkVar();
+    TermRef N = Heap.mkInt(static_cast<int64_t>(I));
+    TermRef CallArgs[3] = {X, Heap.mkStruct(F, {&Y, 1}), N};
+    TermRef GArgs[2] = {Z, X};
+    TermRef HArgs[2] = {N, Heap.mkList(Syms, {&Y, 1})};
+    States.push_back({Heap.mkStruct(P, CallArgs), X, Y,
+                      Heap.mkStruct(G, GArgs), Z, Heap.mkStruct(H, HArgs)});
+  }
+  bool Hit = State.range(0) != 0;
+  auto Level = std::make_unique<VariantCodeStore>(1);
+  if (Hit)
+    for (const auto &S : States)
+      Level->insert(0, Heap, S);
+  size_t Next = 0;
+  for (auto _ : State) {
+    if (Next == NumStates) {
+      Next = 0;
+      if (!Hit) {
+        State.PauseTiming();
+        Level = std::make_unique<VariantCodeStore>(1);
+        State.ResumeTiming();
+      }
+    }
+    benchmark::DoNotOptimize(Level->insert(0, Heap, States[Next++]));
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_FrontierStateProbe)->Arg(0)->Arg(1);
 
 void BM_TabledFib(benchmark::State &State) {
   const char *Prog = ":- table fib/2.\n"
