@@ -12,12 +12,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "corpus/Corpus.h"
 #include "engine/Solver.h"
+#include "fl/FLParser.h"
 #include "obs/Forest.h"
 #include "obs/Provenance.h"
 #include "par/CorpusScheduler.h"
 #include "prop/Groundness.h"
 #include "reader/Parser.h"
+#include "strictness/StrictTransform.h"
 #include "strictness/Strictness.h"
 #include "depthk/DepthK.h"
 
@@ -412,6 +415,80 @@ TEST(Explain, DepthKConcreteClausesAndWidening) {
   ASSERT_TRUE(WText.hasValue()) << (WText ? "" : WText.getError().str());
   EXPECT_NE(WText->find("folded"), std::string::npos) << *WText;
   EXPECT_TRUE(bracketBalanced(*WText)) << *WText;
+}
+
+//===----------------------------------------------------------------------===//
+// Supplementary premise chains on the strictness corpus
+//===----------------------------------------------------------------------===//
+
+struct PremisePin {
+  const char *Program;
+  uint64_t Justified;
+  uint64_t Premises;
+  uint64_t Digest; ///< FNV-1a over one line per answer, in table order.
+};
+
+/// Runs strictness on \p Pin's corpus program the way StrictnessAnalyzer
+/// does (sp_f tabled, sp_f(e, ...) then sp_f(d, ...) per function) with
+/// provenance on, and checks every answer's clause and premise list.
+void expectPremisesPinned(const PremisePin &Pin) {
+  SCOPED_TRACE(Pin.Program);
+  auto FL = FLParser::parse(findBenchmark(Pin.Program)->Source);
+  ASSERT_TRUE(bool(FL));
+  SymbolTable Syms;
+  StrictTransformer Transformer(Syms);
+  TermStore AbsStore;
+  auto Abs = Transformer.transform(*FL, AbsStore);
+  ASSERT_TRUE(bool(Abs));
+  Database DB(Syms);
+  ASSERT_TRUE(bool(DB.loadProgram(AbsStore, Abs->Clauses)));
+  for (const auto &[Name, Arity] : Abs->Functions)
+    DB.setTabled(Syms.intern(Transformer.spName(Name)), Arity + 1);
+  Solver::Options O;
+  O.RecordProvenance = true;
+  Solver Engine(DB, O);
+  for (const auto &[Name, Arity] : Abs->Functions) {
+    SymbolId Sp = Syms.intern(Transformer.spName(Name));
+    for (const char *Demand : {"e", "d"}) {
+      std::vector<TermRef> Args{Engine.store().mkAtom(Syms.intern(Demand))};
+      for (uint32_t I = 0; I < Arity; ++I)
+        Args.push_back(Engine.store().mkVar());
+      Engine.solve(Engine.store().mkStruct(Sp, Args), nullptr);
+    }
+  }
+  uint64_t Justified = 0, Premises = 0, H = 14695981039346656037ull;
+  for (const Subgoal *SG : Engine.subgoals())
+    for (size_t I = 0, E = Engine.answerCount(*SG); I < E; ++I) {
+      auto J = Engine.provenance()->find(SG->Ordinal, I);
+      if (!J)
+        continue;
+      ++Justified;
+      Premises += J->Premises.size();
+      std::string Line = std::to_string(SG->Ordinal) + ":" +
+                         std::to_string(I) + " c" +
+                         std::to_string(J->ClauseIdx);
+      for (const ProvPremise &P : J->Premises)
+        Line += " " + std::to_string(P.SubgoalIdx) + "." +
+                std::to_string(P.AnswerIdx);
+      for (char C : Line + "\n") {
+        H ^= static_cast<uint8_t>(C);
+        H *= 1099511628211ull;
+      }
+    }
+  EXPECT_EQ(Justified, Engine.stats().AnswersRecorded);
+  EXPECT_EQ(Engine.checkProvenance().Dangling, 0u);
+  EXPECT_EQ(Justified, Pin.Justified);
+  EXPECT_EQ(Premises, Pin.Premises);
+  EXPECT_EQ(H, Pin.Digest);
+}
+
+TEST(Justify, StrictnessPremiseListsArePinned) {
+  // Strictness clause bodies hold the Tx = a goals of repeated variables,
+  // so these chains cross every kind of frontier level. Pinned from the
+  // evaluation that kept a frontier level before every body goal.
+  for (const PremisePin &Pin : {PremisePin{"eu", 98, 182, 7365723039090951341ull},
+        PremisePin{"mergesort", 65, 55, 8229476413354166364ull}})
+    expectPremisesPinned(Pin);
 }
 
 //===----------------------------------------------------------------------===//

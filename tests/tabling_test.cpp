@@ -703,6 +703,133 @@ TEST_F(TablingTest, GoalUnderDisjunctionMakesItsCallerNonStatic) {
   }
 }
 
+//===----------------------------------------------------------------------===//
+// =/2 folding: a frontier keeps no level before a =/2 goal; the step before
+// it runs the unification on each of its solutions.
+//===----------------------------------------------------------------------===//
+
+struct FoldCase {
+  const char *Name;
+  const char *Program;
+  /// Queried in order; afterwards each call's table is read back as
+  /// "call: answer answer ..." in recording order.
+  std::vector<const char *> Calls;
+  std::vector<std::string> Want;
+  uint64_t Subgoals, Answers; ///< Pinned before =/2 goals were folded.
+};
+
+/// Runs \p Case with supplementary frontiers and with tuple-at-a-time SLD:
+/// both must give the wanted tables, answer order included, and the
+/// pinned subgoal and answer counts.
+void expectFoldMatchesSld(const FoldCase &Case) {
+  SCOPED_TRACE(Case.Name);
+  for (bool Supplementary : {true, false}) {
+    SCOPED_TRACE(Supplementary ? "supp" : "sld");
+    SymbolTable Syms;
+    Database DB(Syms);
+    auto R = DB.consult(Case.Program);
+    ASSERT_TRUE(R.hasValue()) << R.getError().str();
+    Solver::Options Opts;
+    Opts.SupplementaryTabling = Supplementary;
+    Solver Eng(DB, Opts);
+    for (const char *Call : Case.Calls) {
+      auto Goal = Parser::parseTerm(Syms, Eng.store(), Call);
+      ASSERT_TRUE(Goal.hasValue()) << Call;
+      Eng.solve(*Goal, nullptr);
+    }
+    std::vector<std::string> Got;
+    for (const char *Call : Case.Calls) {
+      std::string Line = std::string(Call) + ":";
+      for (const std::string &A : tableAnswers(Syms, Eng, Call))
+        Line += " " + A;
+      Got.push_back(Line);
+    }
+    EXPECT_EQ(Got, Case.Want);
+    EXPECT_EQ(Eng.stats().SubgoalsCreated, Case.Subgoals);
+    EXPECT_EQ(Eng.stats().AnswersRecorded, Case.Answers);
+  }
+}
+
+TEST(UnifyFolding, LeadingGoalsRunInTheSeed) {
+  // a/2: =/2 as goal 0 binds head variable X to a compound; a(g(1), Y)
+  // fails it for good. u/2 and v/1 are all =/2, so the seed goes straight
+  // to the final level, or nowhere.
+  expectFoldMatchesSld(
+      {"leading",
+       R"(
+         :- table a/2.
+         :- table u/2.
+         :- table v/1.
+         e(1). e(2). e(3).
+         a(X, Y) :- X = f(Y), e(Y).
+         u(X, Y) :- X = Y.
+         v(X) :- X = a, X = b.
+         v(X) :- X = c, Y = X, Y = c.
+       )",
+       {"a(X, Y)", "a(f(2), Y)", "a(g(1), Y)", "a(X, 2)", "u(X, Y)", "u(p, q)",
+        "v(X)"},
+       {"a(X, Y): a(f(1),1) a(f(2),2) a(f(3),3)",
+        "a(f(2), Y): a(f(2),2)",
+        "a(g(1), Y):",
+        "a(X, 2): a(f(2),2)",
+        "u(X, Y): u(_A,_A)",
+        "u(p, q):",
+        "v(X): v(c)"},
+       7, 7});
+}
+
+TEST(UnifyFolding, GoalsAfterAStepRunOnItsSolutions) {
+  // b/3: two =/2 in a row between kept levels; c/2: =/2 as the last goal,
+  // binding a head variable; s/2: the Tx = a shape of the strictness
+  // transform, with a failing d = e; k/2: a compound argument, so the goal
+  // is built from the roots.
+  expectFoldMatchesSld(
+      {"after a step",
+       R"(
+         :- table b/3.
+         :- table c/2.
+         :- table s/2.
+         :- table k/2.
+         e(1). e(2).
+         e2(1, x). e2(2, y). e2(2, z).
+         dem(d). dem(e).
+         b(X, Y, Z) :- e(X), Y = W, W = X, e2(Y, Z).
+         c(X, Y) :- e(X), e(Z), Y = Z.
+         s(A, B) :- dem(A), dem(B), T = A, T = B.
+         k(X, Y) :- e(Y), X = g(Y, Z), e(Z), Z \== Y.
+       )",
+       {"b(X, Y, Z)", "c(X, Y)", "c(2, Y)", "s(A, B)", "s(d, B)", "k(X, Y)"},
+       {"b(X, Y, Z): b(1,1,x) b(2,2,y) b(2,2,z)",
+        "c(X, Y): c(1,1) c(1,2) c(2,1) c(2,2)",
+        "c(2, Y): c(2,1) c(2,2)",
+        "s(A, B): s(d,d) s(e,e)",
+        "s(d, B): s(d,d)",
+        "k(X, Y): k(g(1,2),1) k(g(2,1),2)"},
+       6, 14});
+}
+
+TEST(UnifyFolding, RecursionThroughAFoldedGoal) {
+  // The =/2 after p/2's recursive call folds into a step that later
+  // producer runs resume with new answers only; q/2 ends in =/2 after a
+  // tabled goal.
+  expectFoldMatchesSld(
+      {"recursive",
+       R"(
+         :- table p/2.
+         :- table q/2.
+         edge(a, b). edge(b, c). edge(c, a). edge(c, d).
+         p(X, Y) :- edge(X, Y).
+         p(X, Y) :- p(X, Z), W = Z, edge(W, Y).
+         q(X, Y) :- p(X, Z), Y = f(Z).
+       )",
+       {"p(a, Y)", "q(X, Y)"},
+       {"p(a, Y): p(a,b) p(a,c) p(a,a) p(a,d)",
+        "q(X, Y): q(a,f(b)) q(b,f(c)) q(c,f(a)) q(c,f(d)) q(a,f(c)) "
+        "q(b,f(a)) q(b,f(d)) q(c,f(b)) q(a,f(a)) q(a,f(d)) q(b,f(b)) "
+        "q(c,f(c))"},
+       3, 28});
+}
+
 /// FNV-1a over \p Lines, each newline-terminated.
 uint64_t digestOf(const std::vector<std::string> &Lines) {
   uint64_t H = 14695981039346656037ull;
