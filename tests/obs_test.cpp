@@ -1091,16 +1091,16 @@ const PinCase PinCases[] = {
       {0, 2, 106, 95},
       0}},
     {"strict_eu", PinKind::Strict, "eu",
-     {{179, 29, 98, 14, 29, 795, 484, 0, 0, 0, 0},
-      986783516626289698ull,
+     {{179, 29, 98, 14, 29, 795, 1002, 0, 0, 0, 0},
+      10883069231768568708ull,
       {179, 29, 98, 14, 795, 29, 70, 29},
       7462544536206702076ull,
       {67, 98, 805, 8, 0, 29},
       {0, 2, 98, 29},
       0}},
     {"strict_mergesort", PinKind::Strict, "mergesort",
-     {{289, 24, 65, 26, 24, 1026, 562, 0, 0, 0, 0},
-      15667345162164097706ull,
+     {{289, 24, 65, 26, 24, 1026, 1123, 0, 0, 0, 0},
+      5461986796546685891ull,
       {289, 24, 65, 26, 1026, 24, 75, 24},
       2837928190396149178ull,
       {78, 65, 695, 7, 0, 37},
