@@ -211,7 +211,7 @@ void BM_EvalCompiled(benchmark::State &State) {
 BENCHMARK(BM_EvalCompiled)->Arg(16)->Arg(30);
 
 /// Repeated tabled CALLS against a warm table. The call carries a large
-/// ground structure: the subgoal trie walks it once per call and the
+/// ground structure: the subgoal index encodes it once per call and the
 /// factored answer binds only the answer variable.
 void BM_TabledCallMicro(benchmark::State &State) {
   SymbolTable Syms;

@@ -3,7 +3,7 @@
 // Part of the lpa project: a reproduction of "Practical Program Analysis
 // Using General Purpose Logic Programming Systems" (PLDI 1996).
 //
-// Scaling curves for Options::EvalWorkers (shared trie tables +
+// Scaling curves for Options::EvalWorkers (shared table space +
 // SCC-parallel SLG evaluation). Two workloads:
 //
 //  * A worst-case generator: K independent left-recursive transitive-

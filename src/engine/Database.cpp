@@ -8,6 +8,7 @@
 #include "engine/Database.h"
 
 #include "reader/Parser.h"
+#include "table/VariantCode.h"
 #include "term/StampedCellMap.h"
 #include "term/TermCopy.h"
 #include "term/TermWriter.h"
@@ -20,22 +21,16 @@ using namespace lpa;
 
 namespace {
 
-/// Canonical key of a whole clause, with head/body variable sharing intact:
-/// the head and flattened body goals are wrapped in a scratch '$clause'
-/// struct so canonicalKey numbers variables across all of them in one pass
-/// (equal keys <=> the clauses are variants). The wrapper cells are undone
-/// before returning, so this works on the live clause store too.
-std::string clauseVariantKey(TermStore &Store, SymbolId WrapSym, TermRef Head,
-                             std::span<const TermRef> Body) {
-  auto M = Store.mark();
-  std::vector<TermRef> Args;
-  Args.reserve(Body.size() + 1);
-  Args.push_back(Head);
-  Args.insert(Args.end(), Body.begin(), Body.end());
-  TermRef Wrapped = Store.mkStruct(WrapSym, Args);
-  std::string Key = canonicalKey(Store, Wrapped);
-  Store.undoTo(M);
-  return Key;
+/// Variant code of a whole clause: the tuple {Head, Body...}, numbered
+/// across all of them in one pass, so head/body variable sharing counts
+/// (equal codes <=> the clauses are variants).
+std::vector<uint64_t> clauseVariantCode(const TermStore &Store, TermRef Head,
+                                        std::span<const TermRef> Body) {
+  std::vector<TermRef> Roots{Head};
+  Roots.insert(Roots.end(), Body.begin(), Body.end());
+  std::vector<uint64_t> Code;
+  appendVariantCode(Store, Roots, Code);
+  return Code;
 }
 
 /// Scratch of one thread's instantiateGoal calls, which never re-enter.
@@ -368,19 +363,19 @@ ErrorOr<size_t> Database::retract(std::string_view Text) {
   if (It == Preds.end())
     return size_t(0);
 
-  // Match against stored clauses by whole-clause variant key. The pattern's
-  // body is flattened exactly the way loadClause flattened stored bodies,
-  // so e.g. "p :- q, true, r." retracts a clause loaded from the same text.
+  // Match against stored clauses by whole-clause variant code. The
+  // pattern's body is flattened exactly the way loadClause flattened stored
+  // bodies, so e.g. "p :- q, true, r." retracts a clause loaded from the
+  // same text.
   std::vector<TermRef> Goals;
   if (Body != InvalidTerm)
     flattenConjunction(Scratch, Symbols, Body, Goals);
-  SymbolId WrapSym = Symbols.intern("$clause");
-  std::string Pattern = clauseVariantKey(Scratch, WrapSym, Head, Goals);
+  std::vector<uint64_t> Pattern = clauseVariantCode(Scratch, Head, Goals);
 
   Predicate &Pr = It->second;
   for (size_t I = 0; I < Pr.Clauses.size(); ++I) {
     const Clause &C = Pr.Clauses[I];
-    if (clauseVariantKey(ClauseStore, WrapSym, C.Head, C.Body) == Pattern) {
+    if (clauseVariantCode(ClauseStore, C.Head, C.Body) == Pattern) {
       Pr.Clauses.erase(Pr.Clauses.begin() + I);
       noteMutation(Key);
       return size_t(1);

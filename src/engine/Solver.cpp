@@ -207,8 +207,8 @@ ErrorOr<size_t> Solver::solveText(std::string_view GoalText,
 }
 
 const Subgoal *Solver::findSubgoal(TermRef Call) const {
-  uint32_t Idx = SubgoalTrie.find(Heap, Call);
-  return Idx == TermTrie::NoValue ? nullptr : SubgoalOwned[Idx].get();
+  uint32_t Idx = SubgoalIndex.find(0, Heap, {&Call, 1});
+  return Idx == VariantCodeStore::NotFound ? nullptr : SubgoalOwned[Idx].get();
 }
 
 TermRef Solver::answerInstance(const Subgoal &SG, size_t I,
@@ -239,17 +239,14 @@ size_t ClauseFrontier::memoryBytes() const {
 
 namespace {
 
-/// \p SG's answer dedup trie (released at completion).
+/// \p SG's answer dedup set (released at completion).
 size_t dedupBytes(const Subgoal &SG) {
-  size_t Bytes = 0;
-  if (SG.AnswerTrie)
-    Bytes += sizeof(TermTrie) + SG.AnswerTrie->memoryBytes();
-  if (SG.SharedAnswerTrie)
-    Bytes += sizeof(ConcurrentTermTrie) + SG.SharedAnswerTrie->memoryBytes();
-  return Bytes;
+  return SG.AnswerIndex
+             ? sizeof(VariantCodeStore) + SG.AnswerIndex->memoryBytes()
+             : 0;
 }
 
-/// \p SG's answer table: the dedup trie plus the answer vectors.
+/// \p SG's answer table: the dedup set plus the answer vectors.
 size_t answerTableBytes(const Subgoal &SG) {
   return dedupBytes(SG) +
          (SG.Answers.capacity() + SG.AnswerBindings.capacity()) *
@@ -277,12 +274,12 @@ size_t recordBytes(const Subgoal &SG) {
 
 size_t Solver::tableSpaceBytes() const {
   // The paper's "Table space" column: memory held by call and answer
-  // tables. We count the table store's cells, the tries, the answer
+  // tables. We count the table store's cells, the variant sets, the answer
   // vectors and the per-subgoal records.
   size_t Bytes = Tables.memoryBytes();
   for (const Subgoal *SG : SubgoalOrder)
     Bytes += recordBytes(*SG);
-  Bytes += SubgoalTrie.memoryBytes();
+  Bytes += SubgoalIndex.memoryBytes();
   // Provenance survives completion (the frontiers it was distilled from do
   // not), so its arena is table space, not evaluation scratch.
   if (Prov)
@@ -309,7 +306,7 @@ const TableWatermarks &Solver::watermarks() const {
 }
 
 size_t Solver::subgoalMemoryBytes(const Subgoal &SG) const {
-  // Apportioned table space: the subgoal record, its answer trie, its
+  // Apportioned table space: the subgoal record, its answer dedup set, its
   // term cells in the shared table store (call +
   // answers, measured via the TermStore arena), and any live
   // supplementary frontiers.
@@ -345,7 +342,6 @@ void Solver::snapshotTableMetrics(MetricsRegistry &M) const {
   M.setCounter("db_lookup_misses", DB.lookupStats().Misses);
   M.setCounter("trie_hits", Stats.TrieHits);
   M.setCounter("trie_misses", Stats.TrieMisses);
-  M.setCounter("trie_nodes_created", Stats.TrieNodesCreated);
   M.setCounter("frontier_bytes_freed", Stats.FrontierBytesFreed);
   M.setCounter("incomplete_tables", Stats.IncompleteTables);
   M.setCounter("warm_table_hits", Stats.WarmTableHits);
@@ -357,8 +353,7 @@ void Solver::snapshotTableMetrics(MetricsRegistry &M) const {
   M.setCounter("invalidation_bytes_freed", Stats.InvalidationBytesFreed);
   M.setCounter("dep_index_edges", DepIndex.edgeCount());
   M.setCounter("dep_index_bytes", DepIndex.memoryBytes());
-  M.setCounter("subgoal_trie_nodes", SubgoalTrie.nodeCount());
-  M.setCounter("subgoal_trie_bytes", SubgoalTrie.memoryBytes());
+  M.setCounter("subgoal_index_bytes", SubgoalIndex.memoryBytes());
   // Intra-query parallelism: lead-side import counters, the aggregate of
   // every worker solver's counters, the shared-space striped-lock figures
   // and the eval pool's scheduling counters.
@@ -406,7 +401,7 @@ void Solver::clearTables() {
   assert(ProducerStack.empty() && CompletionStack.empty() &&
          "cannot clear tables during evaluation");
   SubgoalOwned.clear();
-  SubgoalTrie.clear();
+  SubgoalIndex = VariantCodeStore(1);
   SubgoalOrder.clear();
   Tables.clear();
   DfnCounter = 0;
@@ -456,8 +451,7 @@ Solver::invalidateDependents(std::span<const PredKey> Changed) {
     SG->AnswerBindings.shrink_to_fit();
     SG->AnswerSeq.clear();
     SG->AnswerSeq.shrink_to_fit();
-    SG->AnswerTrie.reset();
-    SG->SharedAnswerTrie.reset();
+    SG->AnswerIndex.reset();
     SG->Frontiers.clear();
     SG->Frontiers.shrink_to_fit();
     SG->Consumers.clear();
@@ -526,7 +520,6 @@ void accumulateStats(EvalStats &Into, const EvalStats &S) {
   Into.ClauseIndexFiltered += S.ClauseIndexFiltered;
   Into.TrieHits += S.TrieHits;
   Into.TrieMisses += S.TrieMisses;
-  Into.TrieNodesCreated += S.TrieNodesCreated;
   Into.FrontierBytesFreed += S.FrontierBytesFreed;
   Into.IncompleteTables += S.IncompleteTables;
   Into.WarmTableHits += S.WarmTableHits;
@@ -802,12 +795,10 @@ void Solver::importPublishedTable(
     const SharedTableSpace::PublishedTable &PT) {
   auto M = Heap.mark();
   TermRef Call = copyTerm(PT.Terms, PT.Call, Heap);
-  TermTrie::InsertResult R = SubgoalTrie.insert(
-      Heap, Call, static_cast<uint32_t>(SubgoalOwned.size()));
-  Stats.TrieNodesCreated += R.NodesCreated;
+  VariantCodeStore::InsertResult R = SubgoalIndex.insert(0, Heap, {&Call, 1});
   if (!R.Inserted) {
     ++Stats.TrieHits;
-    Subgoal &Existing = *SubgoalOwned[R.Value];
+    Subgoal &Existing = *SubgoalOwned[R.Index];
     if (Existing.Invalidated) {
       // A tombstoned lead variant takes the worker's table (derived
       // against the mutated program) instead of re-running the producer.
@@ -1025,27 +1016,12 @@ bool Solver::recordAnswer(Subgoal &SG, TermRef Instance) {
 
   // Every table without an answer join is factored. Substitution
   // factoring: the answer is the tuple of bindings of the call's free
-  // variables; the whole instance is never materialized. One trie walk
-  // over the tuple both checks for a duplicate variant and claims the slot
+  // variables; the whole instance is never materialized. One encode of
+  // the tuple both checks for a duplicate variant and claims the slot
   // (check/insert fusion).
   assert(SG.Factored && "unfactored tables take the answer-join path");
   extractCallBindings(SG, Instance, BindScratch);
-  bool Inserted;
-  if (SG.SharedAnswerTrie) {
-    // Parallel worker: the optimistic check-then-lock insert path.
-    ConcurrentTermTrie::InsertResult R = SG.SharedAnswerTrie->insert(
-        Heap, std::span<const TermRef>(BindScratch),
-        static_cast<uint32_t>(SG.AnswerSeq.size()));
-    Stats.TrieNodesCreated += R.NodesCreated;
-    Inserted = R.Inserted;
-  } else {
-    TermTrie::InsertResult R = SG.AnswerTrie->insert(
-        Heap, std::span<const TermRef>(BindScratch),
-        static_cast<uint32_t>(SG.AnswerSeq.size()));
-    Stats.TrieNodesCreated += R.NodesCreated;
-    Inserted = R.Inserted;
-  }
-  if (!Inserted) {
+  if (!SG.AnswerIndex->insert(0, Heap, BindScratch).Inserted) {
     ++Stats.TrieHits;
     NoteDuplicate();
     return false;
@@ -1710,8 +1686,7 @@ size_t Solver::releaseCompletedState(Subgoal &SG) {
     Water.PeakSubgoalAnswerBytes = AnswerBytes;
   SG.Frontiers.clear();
   SG.Frontiers.shrink_to_fit();
-  SG.AnswerTrie.reset();
-  SG.SharedAnswerTrie.reset();
+  SG.AnswerIndex.reset();
   SG.Consumers.clear();
   Stats.FrontierBytesFreed += Freed;
   return FrontierBytes;
@@ -1719,17 +1694,16 @@ size_t Solver::releaseCompletedState(Subgoal &SG) {
 
 Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
                                std::vector<TermRef> &GoalVars) {
-  // One walk of the call term performs lookup AND insert; the walk also
+  // One encode of the call term performs lookup AND insert; it also
   // yields the call's free variables (for factored answer return) as a
   // byproduct, so a table hit costs no allocation at all.
-  TermTrie::InsertResult R = SubgoalTrie.insert(
-      Heap, Goal, static_cast<uint32_t>(SubgoalOwned.size()), &GoalVars);
-  Stats.TrieNodesCreated += R.NodesCreated;
+  VariantCodeStore::InsertResult R =
+      SubgoalIndex.insert(0, Heap, {&Goal, 1}, &GoalVars);
   if (!R.Inserted) {
     ++Stats.TrieHits;
-    Subgoal &Hit = *SubgoalOwned[R.Value];
+    Subgoal &Hit = *SubgoalOwned[R.Index];
     if (Hit.Invalidated) {
-      // The trie has no delete, so a tombstoned variant is revived in
+      // The index has no delete, so a tombstoned variant is revived in
       // place: same Subgoal record, same ordinal, fresh producer run
       // against the mutated program.
       reviveSubgoal(Hit);
@@ -1745,26 +1719,22 @@ Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
   auto Owned = std::make_unique<Subgoal>();
   Subgoal &SG = *Owned;
   SG.Pred = Key;
-  // Creation-order index: the trie leaf above already carries the same
-  // value, and provenance premises/forest nodes are keyed by it.
+  // Creation-order index: the call's position in the subgoal index, and
+  // provenance premises/forest nodes are keyed by it.
   SG.Ordinal = static_cast<uint32_t>(SubgoalOwned.size());
   SG.CallTerm = copyTerm(Heap, Goal, Tables);
   if (size_t StoreBytes = Tables.memoryBytes();
       StoreBytes > Water.PeakTermStoreBytes)
     Water.PeakTermStoreBytes = StoreBytes;
   // copyTerm renames variables in first-occurrence order, so CallVars
-  // corresponds index-wise to the trie walk's variable numbering (and to
+  // corresponds index-wise to the encoder's variable numbering (and to
   // any variant consumer's own free-variable order).
   collectFreeVars(Tables, SG.CallTerm, SG.CallVars);
   SG.Factored = !AnswerJoins.count((uint64_t(Key.Sym) << 32) | Key.Arity);
-  if (SG.Factored) {
-    // Parallel eval workers dedup answers through the optimistic
-    // check-then-lock trie; serial solvers keep the plain one.
-    if (Shared)
-      SG.SharedAnswerTrie = std::make_unique<ConcurrentTermTrie>();
-    else
-      SG.AnswerTrie = std::make_unique<TermTrie>();
-  }
+  // A worker's subgoals are private until published as a copy, so their
+  // answer dedup needs no synchronization either.
+  if (SG.Factored)
+    SG.AnswerIndex = std::make_unique<VariantCodeStore>(1);
 
   // Shared-table coordination (parallel eval workers only): consult the
   // space before committing to a producer run. A published table
@@ -1775,18 +1745,17 @@ Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
   if (Shared) {
     SharedTableSpace::Outcome O =
         Shared->claim(Heap, Goal, Key.Sym, Key.Arity, SharedWorkerId);
-    if (O.E && O.H == SharedTableSpace::Hit::Published) {
+    if (O.H == SharedTableSpace::Hit::Published) {
       ++Stats.SharedWarmImports;
       SG.Dfn = SG.MinLink = ++DfnCounter;
       SG.Dirty = false;
-      SG.AnswerTrie.reset();
-      SG.SharedAnswerTrie.reset();
+      SG.AnswerIndex.reset();
       fillSubgoalFromPublished(SG, *Shared->published(*O.E));
       SubgoalOwned.push_back(std::move(Owned));
       SubgoalOrder.push_back(&SG);
       return SG;
     }
-    if (O.E && O.H == SharedTableSpace::Hit::Claimed) {
+    if (O.H == SharedTableSpace::Hit::Claimed) {
       SG.SharedClaim = O.E;
       ++Stats.SharedClaims;
     } else {
@@ -1801,14 +1770,10 @@ Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
 
 void Solver::reviveSubgoal(Subgoal &SG) {
   SG.Invalidated = false;
-  if (SG.Factored) {
-    // The tombstone released the answer dedup structure; re-derivation
-    // needs a fresh one of whichever kind this solver uses.
-    if (Shared)
-      SG.SharedAnswerTrie = std::make_unique<ConcurrentTermTrie>();
-    else
-      SG.AnswerTrie = std::make_unique<TermTrie>();
-  }
+  // The tombstone released the answer dedup set; re-derivation needs a
+  // fresh one.
+  if (SG.Factored)
+    SG.AnswerIndex = std::make_unique<VariantCodeStore>(1);
   // A revival is a cold re-derivation. The ordinal check in callTabled
   // cannot see it (the ordinal is old), so the cold miss is counted here;
   // the two paths are disjoint by construction.

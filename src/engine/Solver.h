@@ -35,10 +35,8 @@
 #include "obs/Metrics.h"
 #include "obs/Provenance.h"
 #include "par/ThreadPool.h"
-#include "table/ConcurrentTrie.h"
 #include "table/DependencyIndex.h"
 #include "table/SharedTables.h"
-#include "table/TermTrie.h"
 #include "table/VariantCode.h"
 #include "term/TermCopy.h"
 #include "term/TermStore.h"
@@ -94,13 +92,14 @@ struct EvalStats {
   uint64_t ClauseIndexFiltered = 0;
   /// \name Variant-dedup counters.
   /// @{
-  /// Dedup probes that found an existing variant, and probes that inserted
-  /// a new one: the subgoal trie, factored answer tries and every
-  /// supplementary-frontier level.
+  /// Variant-set probes that found an existing variant, and probes that
+  /// inserted a new one: the subgoal index, factored answer dedup and every
+  /// supplementary-frontier level. (The names predate the code sets, which
+  /// replaced term tries; the counts are the same.)
   uint64_t TrieHits = 0;
   uint64_t TrieMisses = 0;
-  /// Subgoal- and answer-trie nodes allocated, cumulative (frontier levels
-  /// store flat variant codes, not trie nodes).
+  /// Always 0: every variant set is a code set, with no trie nodes to
+  /// allocate. Kept because perfbench's `table.trie_nodes` reads it.
   uint64_t TrieNodesCreated = 0;
   /// @}
   /// Bytes of supplementary-table state freed at SCC completion (frontier
@@ -174,8 +173,8 @@ struct TableWatermarks {
   /// Peak of the table TermStore arena (call/answer term cells), refreshed
   /// on every recorded answer and subgoal creation. Exact.
   uint64_t PeakTermStoreBytes = 0;
-  /// Largest per-subgoal answer-table footprint (dedup trie or key set
-  /// plus answer vectors), measured at that subgoal's completion — answer
+  /// Largest per-subgoal answer-table footprint (answer dedup set plus
+  /// answer vectors), measured at that subgoal's completion — answer
   /// tables only grow until completion, so this is the lifetime peak.
   uint64_t PeakSubgoalAnswerBytes = 0;
   /// Largest frontier footprint freed at once: an SCC's at completion (what
@@ -250,10 +249,10 @@ struct Subgoal {
   /// (Solver::answerInstance).
   std::vector<TermRef> AnswerBindings;
   std::vector<uint64_t> AnswerSeq; ///< Global sequence number per answer.
-  /// Answer dedup of a factored table: a term trie over the binding
-  /// tuples, released on completion -- no answer is ever inserted into a
-  /// completed table.
-  std::unique_ptr<TermTrie> AnswerTrie;
+  /// Answer dedup of a factored table: a one-level code set over the
+  /// binding tuples, released on completion -- no answer is ever inserted
+  /// into a completed table.
+  std::unique_ptr<VariantCodeStore> AnswerIndex;
   /// True when answers are stored substitution-factored: no answer join is
   /// registered for the predicate.
   bool Factored = false;
@@ -283,7 +282,7 @@ struct Subgoal {
   uint64_t DerivedAtRevision = 0;
   /// Tombstone: a dependency-cone sweep (Solver::invalidateDependents)
   /// found this completed table potentially stale and released its
-  /// answers. The variant stays in the subgoal index (tries have no
+  /// answers. The variant stays in the subgoal index (code sets have no
   /// delete); the next call revives it in place and re-runs the producer.
   bool Invalidated = false;
 
@@ -307,10 +306,6 @@ struct Subgoal {
   /// Non-null while this worker holds the claim on the variant in the
   /// shared table space; publication at SCC completion clears it.
   SharedTableSpace::Entry *SharedClaim = nullptr;
-  /// Answer dedup on the optimistic check-then-lock trie instead of the
-  /// plain TermTrie when the solver is a parallel eval worker (replaces
-  /// AnswerTrie for factored tables; freed on completion like it).
-  std::unique_ptr<ConcurrentTermTrie> SharedAnswerTrie;
 
   /// @}
 };
@@ -457,12 +452,12 @@ public:
   /// rebuilds instances.
   TermRef answerInstance(const Subgoal &SG, size_t I, TermStore &Out) const;
 
-  /// Bytes attributable to the tables: call/answer terms, tries, index
-  /// structures. This is the paper's "Table space" column.
+  /// Bytes attributable to the tables: call/answer terms, variant sets,
+  /// index structures. This is the paper's "Table space" column.
   size_t tableSpaceBytes() const;
 
   /// Bytes attributable to ONE subgoal's table: the subgoal record, its
-  /// answer trie, its term cells in the table store (call +
+  /// answer dedup set, its term cells in the table store (call +
   /// answers), and any live supplementary frontiers. snapshotTableMetrics
   /// apportions per-predicate TableBytes with this, and the service
   /// layer's `inspect` op ranks tables by it.
@@ -769,8 +764,8 @@ private:
   void driveSubgoal(Subgoal &SG);
 
   /// In-place revival of an invalidated subgoal variant: clears the
-  /// tombstone, reallocates the answer dedup structure the representation
-  /// needs, and counts the re-derivation (cold miss + TablesRevived).
+  /// tombstone, reallocates the answer dedup set a factored table needs,
+  /// and counts the re-derivation (cold miss + TablesRevived).
   /// driveSubgoal must follow.
   void reviveSubgoal(Subgoal &SG);
 
@@ -896,9 +891,9 @@ private:
 
   /// Subgoal storage, in creation order.
   std::vector<std::unique_ptr<Subgoal>> SubgoalOwned;
-  /// Subgoal index: one walk of the call checks and inserts; leaf values
-  /// are indices into SubgoalOwned.
-  TermTrie SubgoalTrie;
+  /// Subgoal index: one encode of the call checks and inserts; a code's
+  /// position is its subgoal's ordinal, the index into SubgoalOwned.
+  VariantCodeStore SubgoalIndex{1};
   std::vector<Subgoal *> SubgoalOrder;
   /// Scratch buffer for factored answer extraction, reused across one
   /// producer run's candidates (never live across a reentrant call).

@@ -40,19 +40,8 @@ inline uint64_t nowNs() {
 SharedTableSpace::SharedTableSpace(size_t ShardCount) {
   size_t N = roundUpPow2(ShardCount ? ShardCount : DefaultShards);
   Shards.reserve(N);
-  for (size_t I = 0; I < N; ++I) {
-    auto S = std::make_unique<Shard>();
-    S->ChunkTable = std::make_unique<std::atomic<Entry *>[]>(MaxChunks);
-    for (size_t C = 0; C < MaxChunks; ++C)
-      S->ChunkTable[C].store(nullptr, std::memory_order_relaxed);
-    Shards.push_back(std::move(S));
-  }
-}
-
-SharedTableSpace::~SharedTableSpace() {
-  for (auto &S : Shards)
-    for (size_t C = 0; C < MaxChunks; ++C)
-      delete[] S->ChunkTable[C].load(std::memory_order_relaxed);
+  for (size_t I = 0; I < N; ++I)
+    Shards.push_back(std::make_unique<Shard>());
 }
 
 SharedTableSpace::Shard &SharedTableSpace::shardFor(const TermStore &Store,
@@ -86,13 +75,6 @@ SharedTableSpace::Shard &SharedTableSpace::shardFor(const TermStore &Store,
   return *Shards[mix(H) & (Shards.size() - 1)];
 }
 
-SharedTableSpace::Entry *SharedTableSpace::entryAt(const Shard &S,
-                                                   uint32_t Idx) {
-  Entry *Chunk =
-      S.ChunkTable[Idx / EntriesPerChunk].load(std::memory_order_acquire);
-  return &Chunk[Idx % EntriesPerChunk];
-}
-
 std::unique_lock<std::mutex> SharedTableSpace::lockShard(Shard &S) {
   // try_lock first so contention is counted and timed only when it
   // actually happens.
@@ -113,58 +95,27 @@ SharedTableSpace::Outcome SharedTableSpace::claim(const TermStore &Store,
                                                   uint32_t Worker) {
   Shard &S = shardFor(Store, Call, Sym, Arity);
   S.Lookups.fetch_add(1, std::memory_order_relaxed);
-
-  uint32_t Idx = S.Index.find(Store, Call);
-  if (Idx == ConcurrentTermTrie::NoValue) {
-    // New variant (as far as the lock-free check saw). Register it under
-    // the shard lock.
-    std::unique_lock<std::mutex> L = lockShard(S);
-
-    uint32_t NewIdx = S.NumEntries.load(std::memory_order_relaxed);
-    if (NewIdx >= EntriesPerChunk * MaxChunks)
-      return {nullptr, Hit::InFlight}; // Shard full; duplicate privately.
-    size_t C = NewIdx / EntriesPerChunk;
-    if (!S.ChunkTable[C].load(std::memory_order_relaxed))
-      S.ChunkTable[C].store(new Entry[EntriesPerChunk],
-                            std::memory_order_release);
-    Entry *NE = entryAt(S, NewIdx);
-    NE->Owner = Worker;
-    NE->Sym = Sym;
-    NE->Arity = Arity;
-    auto R = S.Index.insert(Store, Call, NewIdx);
-    if (R.Inserted) {
-      S.NumEntries.store(NewIdx + 1, std::memory_order_release);
-      S.Claims.fetch_add(1, std::memory_order_relaxed);
-      return {NE, Hit::Claimed};
-    }
-    // Lost the registration race before we took the lock; fall through to
-    // the existing entry. (The speculative slot is reused by the next
-    // claim — NumEntries was not advanced.)
-    Idx = R.Value;
-  }
-
-  Entry *E = entryAt(S, Idx);
-  uint32_t St = E->State.load(std::memory_order_acquire);
-  if (St == 2) {
-    // Retired by invalidation: re-claim under the shard lock and
-    // re-derive under the new program. The old table stays alive in
-    // OwnedTables — a racing reader may still be walking it.
-    std::unique_lock<std::mutex> L = lockShard(S);
-    if (E->State.load(std::memory_order_relaxed) == 2) {
-      E->Owner = Worker;
-      E->State.store(0, std::memory_order_release);
-      S.Claims.fetch_add(1, std::memory_order_relaxed);
-      return {E, Hit::Claimed};
-    }
-    // Lost the re-claim race; re-read whatever state won.
-    St = E->State.load(std::memory_order_acquire);
+  std::unique_lock<std::mutex> L = lockShard(S);
+  VariantCodeStore::InsertResult R = S.Index.insert(0, Store, {&Call, 1});
+  Entry &E = R.Inserted ? S.Entries.emplace_back() : S.Entries[R.Index];
+  uint32_t St = E.State.load(std::memory_order_acquire);
+  // New, or retired by invalidation: the caller owns it and derives it
+  // under the current program. A retired table stays alive in OwnedTables
+  // -- a worker may still be reading it.
+  if (R.Inserted || St == 2) {
+    E.Owner = Worker;
+    E.Sym = Sym;
+    E.Arity = Arity;
+    E.State.store(0, std::memory_order_release);
+    S.Claims.fetch_add(1, std::memory_order_relaxed);
+    return {&E, Hit::Claimed};
   }
   if (St == 1) {
     S.WarmHits.fetch_add(1, std::memory_order_relaxed);
-    return {E, Hit::Published};
+    return {&E, Hit::Published};
   }
   S.InFlightMisses.fetch_add(1, std::memory_order_relaxed);
-  return {E, Hit::InFlight};
+  return {&E, Hit::InFlight};
 }
 
 void SharedTableSpace::publish(Entry &E, std::unique_ptr<PublishedTable> T) {
@@ -195,14 +146,12 @@ size_t SharedTableSpace::invalidatePred(SymbolId Sym, uint32_t Arity) {
   size_t Retired = 0;
   for (auto &S : Shards) {
     std::unique_lock<std::mutex> L = lockShard(*S);
-    uint32_t N = S->NumEntries.load(std::memory_order_relaxed);
     size_t ShardRetired = 0;
-    for (uint32_t I = 0; I < N; ++I) {
-      Entry *E = entryAt(*S, I);
+    for (Entry &E : S->Entries) {
       // Sym/Arity are stamped under this same shard lock at claim time.
-      if (E->Sym == Sym && E->Arity == Arity &&
-          E->State.load(std::memory_order_relaxed) == 1) {
-        E->State.store(2, std::memory_order_release);
+      if (E.Sym == Sym && E.Arity == Arity &&
+          E.State.load(std::memory_order_relaxed) == 1) {
+        E.State.store(2, std::memory_order_release);
         ++ShardRetired;
       }
     }
@@ -220,9 +169,9 @@ std::vector<const SharedTableSpace::PublishedTable *>
 SharedTableSpace::publishedTables() const {
   std::vector<const PublishedTable *> Out;
   for (const auto &S : Shards) {
-    uint32_t N = S->NumEntries.load(std::memory_order_acquire);
-    for (uint32_t I = 0; I < N; ++I)
-      if (const PublishedTable *T = published(*entryAt(*S, I)))
+    std::lock_guard<std::mutex> L(S->Mu);
+    for (const Entry &E : S->Entries)
+      if (const PublishedTable *T = published(E))
         Out.push_back(T);
   }
   return Out;
@@ -259,25 +208,11 @@ SharedTableSpace::perShardStats() const {
     SS.LockAcquisitions = S->LockAcquisitions.load(std::memory_order_relaxed);
     SS.LockContended = S->LockContended.load(std::memory_order_relaxed);
     SS.LockWaitNs = S->LockWaitNs.load(std::memory_order_relaxed);
-    SS.Entries = S->NumEntries.load(std::memory_order_acquire);
+    {
+      std::lock_guard<std::mutex> L(S->Mu);
+      SS.Entries = static_cast<uint32_t>(S->Entries.size());
+    }
     Out.push_back(SS);
   }
   return Out;
-}
-
-size_t SharedTableSpace::memoryBytes() const {
-  size_t Bytes = sizeof(*this);
-  for (const auto &S : Shards) {
-    Bytes += S->Index.memoryBytes() + MaxChunks * sizeof(std::atomic<Entry *>);
-    uint32_t N = S->NumEntries.load(std::memory_order_acquire);
-    Bytes += ((N + EntriesPerChunk - 1) / EntriesPerChunk) * EntriesPerChunk *
-             sizeof(Entry);
-  }
-  // Deferred-reclamation list: retired tables keep costing memory until
-  // the space dies, so the watermark must see them.
-  std::lock_guard<std::mutex> L(TablesMu);
-  for (const auto &T : OwnedTables)
-    Bytes += T->Terms.memoryBytes() + T->Answers.capacity() * sizeof(TermRef) +
-             sizeof(*T);
-  return Bytes;
 }

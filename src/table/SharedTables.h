@@ -16,14 +16,17 @@
 ///
 /// Layout: a power-of-two array of shards, striped by a hash of the
 /// predicate and first-argument shape so variants of hot predicates spread
-/// out. Each shard holds a ConcurrentTermTrie index (variant call ->
-/// entry), a deque of entries (stable addresses), and a mutex that
-/// serializes claim registration only. The fast paths never lock:
+/// out. Each shard holds a one-level VariantCodeStore (variant call ->
+/// position), a deque of entries at the same positions (stable
+/// addresses), and a mutex that guards both. Every claim() takes the shard
+/// lock for one probe; entry states and published tables are then read
+/// without it:
 ///
-///  - Warm read: lock-free trie find + acquire load of the entry state.
-///    A completed table is published with a release store, so a reader
-///    that observes State == Published also observes every byte of the
-///    table copy.
+///  - Warm read: lock, probe the code set, then acquire load of the entry
+///    state. A completed table is published with a release store, so a
+///    reader that observes State == Published also observes every byte of
+///    the table copy. The lock is held for one encode and one hash probe,
+///    and striping keeps any one shard's waiters few.
 ///  - In-flight miss: the claiming worker is still evaluating. The caller
 ///    does NOT wait (blocking on another worker's completion could
 ///    deadlock on cross-worker SCCs); it duplicates the evaluation
@@ -37,16 +40,17 @@
 ///
 /// Incremental invalidation retires published tables in place: the sweep
 /// takes each shard lock, flips matching entries Published -> Retired, and
-/// bumps the space epoch with a release store. Readers are lock-free, so a
-/// reader may still observe the pre-retirement state and dereference the
-/// old table — therefore table memory is never freed on retirement.
-/// Ownership of every published table lives in a space-level list that is
-/// reclaimed only at destruction; Entry holds a plain atomic pointer. A
-/// retired entry is re-claimable: the next claim() that sees Retired takes
-/// the shard lock and becomes the new owner, re-deriving under the new
-/// program. Retirement only touches Published entries — the service layer
-/// guarantees quiescence (no in-flight claims) when it invalidates, so an
-/// in-flight entry at retirement time cannot exist in product use.
+/// bumps the space epoch with a release store. published() reads without
+/// the lock, so a worker holding an entry from an earlier claim may still
+/// observe the pre-retirement state and dereference the old table —
+/// therefore table memory is never freed on retirement. Ownership of every
+/// published table lives in a space-level list that is reclaimed only at
+/// destruction; Entry holds a plain atomic pointer. A retired entry is
+/// re-claimable: the next claim() that sees Retired, under the shard lock,
+/// becomes the new owner, re-deriving under the new program. Retirement
+/// only touches Published entries — the service layer guarantees
+/// quiescence (no in-flight claims) when it invalidates, so an in-flight
+/// entry at retirement time cannot exist in product use.
 ///
 /// Per-shard counters (lock acquisitions, contended acquisitions, lock
 /// wait nanoseconds, claims, published tables, warm hits, in-flight
@@ -57,11 +61,12 @@
 #ifndef LPA_TABLE_SHAREDTABLES_H
 #define LPA_TABLE_SHAREDTABLES_H
 
-#include "table/ConcurrentTrie.h"
+#include "table/VariantCode.h"
 #include "term/TermStore.h"
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -94,13 +99,13 @@ public:
     friend class SharedTableSpace;
     /// 0 = in flight, 1 = published, 2 = retired by invalidation.
     std::atomic<uint32_t> State{0};
+    /// Owner and predicate identity, stamped under the shard lock at
+    /// claim; invalidatePred() scans for the predicate under the same lock.
     uint32_t Owner = 0;
-    /// Predicate identity, stamped under the shard lock at first claim;
-    /// invalidatePred() scans for it under the same lock.
     SymbolId Sym = 0;
     uint32_t Arity = 0;
     /// Non-owning: the space's OwnedTables list keeps every table alive
-    /// until destruction (lock-free readers may hold stale pointers).
+    /// until destruction (workers may hold stale pointers).
     std::atomic<PublishedTable *> Table{nullptr};
   };
 
@@ -111,21 +116,19 @@ public:
   };
 
   struct Outcome {
-    Entry *E = nullptr;
+    Entry *E = nullptr; ///< Stable for the space's lifetime.
     Hit H = Hit::Claimed;
   };
 
   /// \p ShardCount is rounded up to a power of two; 0 picks the default.
   explicit SharedTableSpace(size_t ShardCount = 0);
-  ~SharedTableSpace(); ///< Frees entry chunks and every table ever
-                       ///< published (including retired ones).
 
   SharedTableSpace(const SharedTableSpace &) = delete;
   SharedTableSpace &operator=(const SharedTableSpace &) = delete;
 
-  /// Looks up the call variant \p Call (pred \p Sym / \p Arity) and claims
-  /// it for \p Worker if unclaimed. Lock-free when the variant is already
-  /// known; takes the shard lock only to register a new claim.
+  /// Looks up the call variant \p Call (pred \p Sym / \p Arity) under
+  /// its shard's lock and claims it for \p Worker if it is new or
+  /// retired.
   Outcome claim(const TermStore &Store, TermRef Call, SymbolId Sym,
                 uint32_t Arity, uint32_t Worker);
 
@@ -137,7 +140,7 @@ public:
   /// The published table of \p E, or null while still in flight.
   const PublishedTable *published(const Entry &E) const;
 
-  /// Every published table, shard by shard in claim order. Only meaningful
+  /// Every published table, shard by shard in claim order. Only complete
   /// once all workers have drained (the lead's import pass, after
   /// ThreadPool::wait()). Retired tables are skipped.
   std::vector<const PublishedTable *> publishedTables() const;
@@ -157,7 +160,7 @@ public:
 
   struct Stats {
     uint64_t Lookups = 0;        ///< claim() calls.
-    uint64_t WarmHits = 0;       ///< Published-table hits (no lock).
+    uint64_t WarmHits = 0;       ///< Published-table hits.
     uint64_t InFlightMisses = 0; ///< Variant owned elsewhere (no wait).
     uint64_t Claims = 0;         ///< New variants claimed (incl. re-claims).
     uint64_t Publishes = 0;      ///< Tables published.
@@ -191,21 +194,13 @@ public:
 
   size_t shardCount() const { return Shards.size(); }
 
-  /// Bytes held by shard indexes and published table stores.
-  size_t memoryBytes() const;
-
 private:
-  /// Entries live in fixed chunks behind a preallocated table of atomic
-  /// chunk pointers, so resolving an index from the trie never locks and
-  /// never races chunk growth (a deque/vector would).
-  static constexpr size_t EntriesPerChunk = 128;
-  static constexpr size_t MaxChunks = 2048;
-
   struct Shard {
-    ConcurrentTermTrie Index; ///< Variant call -> entry index.
-    std::mutex Mu;            ///< Serializes entry creation only.
-    std::unique_ptr<std::atomic<Entry *>[]> ChunkTable;
-    std::atomic<uint32_t> NumEntries{0};
+    /// Call variants; the code at position I is Entries[I]'s. Both are
+    /// guarded by Mu.
+    VariantCodeStore Index{1};
+    std::deque<Entry> Entries;
+    mutable std::mutex Mu;
     std::atomic<uint64_t> Lookups{0};
     std::atomic<uint64_t> WarmHits{0};
     std::atomic<uint64_t> InFlightMisses{0};
@@ -218,18 +213,17 @@ private:
 
   Shard &shardFor(const TermStore &Store, TermRef Call, SymbolId Sym,
                   uint32_t Arity);
-  static Entry *entryAt(const Shard &S, uint32_t Idx);
 
-  /// Takes the shard lock, counting contention the same way claim() does.
+  /// Takes the shard lock, counting contention.
   static std::unique_lock<std::mutex> lockShard(Shard &S);
 
   std::vector<std::unique_ptr<Shard>> Shards;
   std::atomic<uint64_t> TotalPublishes{0};
   std::atomic<uint64_t> InvalidationEpoch{0};
   /// Deferred reclamation: every table ever published, freed only at
-  /// destruction. Readers are lock-free and may hold a retired table's
-  /// pointer arbitrarily long, so retirement can never free.
-  mutable std::mutex TablesMu; ///< memoryBytes() is const and must lock.
+  /// destruction. A worker may hold a retired table's pointer arbitrarily
+  /// long, so retirement can never free.
+  std::mutex TablesMu;
   std::vector<std::unique_ptr<PublishedTable>> OwnedTables;
 };
 

@@ -9,7 +9,7 @@
 
 #include "term/StampedCellMap.h"
 
-#include <cstring>
+#include <algorithm>
 
 using namespace lpa;
 
@@ -36,6 +36,8 @@ struct CodeScratch {
   std::vector<TermRef> Args;
   /// Decoder: variable number -> its fresh cell.
   std::vector<TermRef> Vars;
+  /// VariantCodeStore::find: the probed tuple's code.
+  std::vector<uint64_t> Probe;
 };
 
 thread_local CodeScratch Scratch;
@@ -51,9 +53,12 @@ uint64_t mixWord(uint64_t H, uint64_t W) {
 
 uint32_t lpa::appendVariantCode(const TermStore &Store,
                                 std::span<const TermRef> Roots,
-                                std::vector<uint64_t> &Out) {
+                                std::vector<uint64_t> &Out,
+                                std::vector<TermRef> *VarsOut) {
   CodeScratch &S = Scratch;
   S.VarNum.reset(Store.size());
+  if (VarsOut)
+    VarsOut->clear();
   uint32_t NextVar = 0;
   size_t Begin = Out.size();
   uint64_t H = 0;
@@ -70,8 +75,11 @@ uint32_t lpa::appendVariantCode(const TermStore &Store,
       switch (Tag) {
       case TermTag::Ref: {
         uint32_t N = S.VarNum.find(Cur);
-        if (N == StampedCellMap::Missing)
+        if (N == StampedCellMap::Missing) {
           S.VarNum.set(Cur, N = NextVar++);
+          if (VarsOut)
+            VarsOut->push_back(Cur);
+        }
         W = uint64_t(N) << 2 | WVar;
         break;
       }
@@ -167,33 +175,16 @@ void lpa::decodeVariantCode(std::span<const uint64_t> Code, TermStore &Dst,
 
 VariantCodeStore::InsertResult
 VariantCodeStore::insert(size_t LevelIdx, const TermStore &Store,
-                         std::span<const TermRef> Roots) {
+                         std::span<const TermRef> Roots,
+                         std::vector<TermRef> *VarsOut) {
   Level &L = Levels[LevelIdx];
   size_t Off = Arena.size();
-  uint32_t Hash = appendVariantCode(Store, Roots, Arena);
+  uint32_t Hash = appendVariantCode(Store, Roots, Arena, VarsOut);
   uint32_t Len = static_cast<uint32_t>(Arena.size() - Off);
-  auto Equal = [&](const Span &Sp) {
-    return Sp.Hash == Hash && Sp.Len == Len &&
-           std::memcmp(Arena.data() + Sp.Off, Arena.data() + Off,
-                       Len * sizeof(uint64_t)) == 0;
-  };
-
-  if (L.Index.empty()) {
-    for (uint32_t I = 0; I < L.Spans.size(); ++I)
-      if (Equal(L.Spans[I])) {
-        Arena.resize(Off);
-        return {I, false};
-      }
-  } else {
-    for (size_t S = slot(L, Hash);; S = (S + 1) & (L.Index.size() - 1)) {
-      uint32_t E = L.Index[S];
-      if (E == 0)
-        break;
-      if (Equal(L.Spans[E - 1])) {
-        Arena.resize(Off);
-        return {E - 1, false};
-      }
-    }
+  uint32_t Found = probe(L, {Arena.data() + Off, Len}, Hash);
+  if (Found != NotFound) {
+    Arena.resize(Off);
+    return {Found, false};
   }
 
   uint32_t NewIdx = static_cast<uint32_t>(L.Spans.size());
@@ -213,6 +204,37 @@ VariantCodeStore::insert(size_t LevelIdx, const TermStore &Store,
   for (uint32_t I = 0; I < L.Spans.size(); ++I)
     place(L, I);
   return {NewIdx, true};
+}
+
+uint32_t VariantCodeStore::find(size_t LevelIdx, const TermStore &Store,
+                                std::span<const TermRef> Roots) const {
+  std::vector<uint64_t> &Code = Scratch.Probe;
+  Code.clear();
+  uint32_t Hash = appendVariantCode(Store, Roots, Code);
+  return probe(Levels[LevelIdx], Code, Hash);
+}
+
+uint32_t VariantCodeStore::probe(const Level &L,
+                                 std::span<const uint64_t> Code,
+                                 uint32_t Hash) const {
+  auto Equal = [&](uint32_t I) {
+    const Span &Sp = L.Spans[I];
+    return Sp.Hash == Hash && Sp.Len == Code.size() &&
+           std::equal(Code.begin(), Code.end(), Arena.begin() + Sp.Off);
+  };
+  if (L.Index.empty()) {
+    for (uint32_t I = 0; I < L.Spans.size(); ++I)
+      if (Equal(I))
+        return I;
+    return NotFound;
+  }
+  for (size_t S = slot(L, Hash);; S = (S + 1) & (L.Index.size() - 1)) {
+    uint32_t E = L.Index[S];
+    if (E == 0)
+      return NotFound;
+    if (Equal(E - 1))
+      return E - 1;
+  }
 }
 
 void VariantCodeStore::place(Level &L, uint32_t I) {

@@ -6,12 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A variant code is a tuple of terms (its *roots*) flattened to one word
-/// string: each root's preorder token sequence, the one a TermTrie path
-/// spells and canonicalKey() encodes, one after the other, with variables
-/// numbered by first occurrence across all the roots. Two tuples have
-/// equal codes iff they are equally long and wrapping each in one struct
-/// gives variants, so sharing between roots counts: (X, f(X)) and
+/// The one table data format. A variant code is a tuple of terms (its
+/// *roots*) flattened to one word string: each root's preorder token
+/// sequence, the one canonicalKey() encodes, one after the other, with
+/// variables numbered by first occurrence across all the roots. Two tuples
+/// have equal codes iff they are equally long and wrapping each in one
+/// struct gives variants, so sharing between roots counts: (X, f(X)) and
 /// (X, f(Y)) differ. One 64-bit word per token; an integer takes a second
 /// word for its value:
 ///
@@ -25,9 +25,11 @@
 /// encoding and subterm sharing is not recorded, so the decoded roots are
 /// the resolved terms as trees.
 ///
-/// VariantCodeStore keeps such codes deduplicated in numbered levels: the
-/// states of a supplementary frontier or of a depth-k clause body, or the
-/// calls and solutions of static goals (DESIGN.md §19), stored once each.
+/// VariantCodeStore keeps such codes deduplicated in numbered levels, and
+/// every variant set of the engine is one (DESIGN.md §9): the subgoal
+/// index, each factored table's answer dedup, the shared table space's
+/// shard indexes, the states of a supplementary frontier or of a depth-k
+/// clause body, and the calls and solutions of static goals (§19).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,10 +48,13 @@ namespace lpa {
 /// a hash of the appended words, computed in the same pass. Iterative, so
 /// deep terms (long lists) need no native stack; variables are numbered
 /// through a per-thread StampedCellMap, O(1) per occurrence.
-/// Allocation-free once the per-thread scratch is warm.
+/// Allocation-free once the per-thread scratch is warm. \p VarsOut, when
+/// non-null, receives (replacing what it held) the tuple's distinct unbound
+/// variables in numbering order, the order collectFreeVars() lists them.
 uint32_t appendVariantCode(const TermStore &Store,
                            std::span<const TermRef> Roots,
-                           std::vector<uint64_t> &Out);
+                           std::vector<uint64_t> &Out,
+                           std::vector<TermRef> *VarsOut = nullptr);
 
 /// Builds the tuple spelled by \p Code (one complete code) in \p Dst with
 /// fresh variables and stores its roots, in order, in \p Roots (replacing
@@ -60,7 +65,8 @@ void decodeVariantCode(std::span<const uint64_t> Code, TermStore &Dst,
 /// Sets of variant codes in numbered levels that share one word arena. A
 /// level keeps one span per code, in insertion order, plus an
 /// open-addressing hash index over them once it outgrows a linear scan.
-/// Codes are never removed; the whole store is dropped at once.
+/// Codes are never removed; the whole store is dropped at once. Not
+/// synchronized: a store shared between threads is guarded by its owner.
 class VariantCodeStore {
 public:
   struct InsertResult {
@@ -68,13 +74,22 @@ public:
     bool Inserted;  ///< False if a variant was already in the level.
   };
 
+  /// find()'s answer when the level holds no variant of the tuple.
+  static constexpr uint32_t NotFound = ~uint32_t(0);
+
   explicit VariantCodeStore(size_t NumLevels) : Levels(NumLevels) {}
 
   /// Fused check/insert of the tuple \p Roots into \p Level: encodes it
   /// into the arena's tail, probes the level, and truncates the tail again
-  /// on a hit.
+  /// on a hit. \p VarsOut is appendVariantCode()'s, filled on a hit too.
   InsertResult insert(size_t Level, const TermStore &Store,
-                      std::span<const TermRef> Roots);
+                      std::span<const TermRef> Roots,
+                      std::vector<TermRef> *VarsOut = nullptr);
+
+  /// The position of the variant of \p Roots in \p Level, or NotFound.
+  /// Encodes into per-thread scratch and leaves the store as it was.
+  uint32_t find(size_t Level, const TermStore &Store,
+                std::span<const TermRef> Roots) const;
 
   /// Appends an empty level, numbered after the existing ones.
   void addLevel() { Levels.emplace_back(); }
@@ -117,6 +132,9 @@ private:
   static size_t slot(const Level &L, uint32_t Hash) {
     return (uint64_t(Hash) * 0x9E3779B97F4A7C15ull) >> L.Shift;
   }
+  /// The position in \p L of \p Code, whose hash is \p Hash, or NotFound.
+  uint32_t probe(const Level &L, std::span<const uint64_t> Code,
+                 uint32_t Hash) const;
   /// Enters Spans[I] of \p L into its index.
   static void place(Level &L, uint32_t I);
 

@@ -154,6 +154,31 @@ TEST(RetractTest, FactsAndRulesRetractByVariant) {
   EXPECT_EQ(*R5, 0u);
 }
 
+TEST(RetractTest, HeadBodySharingSeparatesVariants) {
+  // The variable numbering runs across head and body: p(X) :- q(X) and
+  // p(X) :- q(Y) are different clauses, whichever of them is asked for.
+  SymbolTable Syms;
+  Database DB(Syms);
+  ASSERT_TRUE(DB.consult("p(X) :- q(X).\nq(a).\n").hasValue());
+  auto Apart = DB.retract("p(X) :- q(Y).");
+  ASSERT_TRUE(Apart.hasValue());
+  EXPECT_EQ(*Apart, 0u);
+  EXPECT_EQ(DB.numClauses(), 2u);
+  auto Shared = DB.retract("p(A) :- q(A).");
+  ASSERT_TRUE(Shared.hasValue());
+  EXPECT_EQ(*Shared, 1u);
+
+  ASSERT_TRUE(DB.consult("p(X) :- q(Y).\n").hasValue());
+  auto Together = DB.retract("p(X) :- q(X).");
+  ASSERT_TRUE(Together.hasValue());
+  EXPECT_EQ(*Together, 0u);
+  EXPECT_EQ(DB.numClauses(), 2u);
+  auto Renamed = DB.retract("p(B) :- q(C).");
+  ASSERT_TRUE(Renamed.hasValue());
+  EXPECT_EQ(*Renamed, 1u);
+  EXPECT_EQ(DB.numClauses(), 1u);
+}
+
 TEST(RetractTest, MalformedRetractsAreErrors) {
   SymbolTable Syms;
   Database DB(Syms);

@@ -3,16 +3,14 @@
 // Part of the lpa project: a reproduction of "Practical Program Analysis
 // Using General Purpose Logic Programming Systems" (PLDI 1996).
 //
-// The "shr" suite: the concurrent term trie, the cross-worker shared
-// table space, and intra-query parallel evaluation (Options::EvalWorkers).
+// The "shr" suite: the cross-worker shared table space and intra-query
+// parallel evaluation (Options::EvalWorkers).
 // CI runs it under ThreadSanitizer — the N-thread hammer tests exist to
 // give TSan real interleavings, not just to check the final counts.
 //
 //===----------------------------------------------------------------------===//
 
-#include "table/ConcurrentTrie.h"
 #include "table/SharedTables.h"
-#include "table/TermTrie.h"
 #include "term/TermCopy.h"
 
 #include "engine/Solver.h"
@@ -27,6 +25,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -38,128 +37,6 @@ namespace {
 TermRef mkS(TermStore &Store, SymbolId S, std::initializer_list<TermRef> A) {
   std::vector<TermRef> Args(A);
   return Store.mkStruct(S, Args);
-}
-
-//===----------------------------------------------------------------------===//
-// ConcurrentTermTrie
-//===----------------------------------------------------------------------===//
-
-/// Serial ground truth: the concurrent trie must agree with TermTrie on
-/// hit/miss classification and variant folding — same token encoding,
-/// different storage discipline.
-TEST(ConcurrentTrieTest, SerialSemanticsMatchTermTrie) {
-  SymbolTable Symbols;
-  TermStore Store;
-  SymbolId F = Symbols.intern("f");
-  SymbolId A = Symbols.intern("a");
-
-  // f(a, 1), f(X, Y), f(X, X), f(Y, Z) — the last is a variant of the
-  // second and must hit, not insert.
-  TermRef V1 = Store.mkVar(), V2 = Store.mkVar(), V3 = Store.mkVar();
-  std::vector<TermRef> Keys = {
-      mkS(Store, F, {Store.mkAtom(A), Store.mkInt(1)}),
-      mkS(Store, F, {V1, V2}),
-      mkS(Store, F, {V3, V3}),
-      mkS(Store, F, {Store.mkVar(), Store.mkVar()}),
-  };
-
-  TermTrie Reference;
-  ConcurrentTermTrie Shared;
-  for (uint32_t I = 0; I < Keys.size(); ++I) {
-    TermTrie::InsertResult R = Reference.insert(Store, Keys[I], I);
-    ConcurrentTermTrie::InsertResult C = Shared.insert(Store, Keys[I], I);
-    EXPECT_EQ(R.Inserted, C.Inserted) << "key " << I;
-    EXPECT_EQ(R.Value, C.Value) << "key " << I;
-  }
-  EXPECT_EQ(Shared.valueCount(), 3u); // The variant folded.
-  for (uint32_t I = 0; I < Keys.size(); ++I)
-    EXPECT_EQ(Reference.find(Store, Keys[I]), Shared.find(Store, Keys[I]));
-  EXPECT_EQ(Shared.find(Store, Store.mkAtom(A)), ConcurrentTermTrie::NoValue);
-}
-
-/// The unique-answer invariant under contention: N threads race to insert
-/// the same key set (each from a private store); exactly one Inserted per
-/// key, no lost inserts, and every thread agrees on the stored value.
-TEST(ConcurrentTrieTest, ConcurrentInsertExactlyOneWinnerPerKey) {
-  constexpr size_t NumThreads = 8;
-  constexpr uint32_t NumKeys = 500;
-
-  SymbolTable Symbols;
-  SymbolId F = Symbols.intern("f"); // Interned before threads spawn: the
-  SymbolId A = Symbols.intern("a"); // symbol table is not shared-mutable.
-
-  std::vector<std::atomic<uint32_t>> InsertWins(NumKeys);
-  ConcurrentTermTrie Trie;
-
-  std::vector<std::thread> Threads;
-  for (size_t T = 0; T < NumThreads; ++T)
-    Threads.emplace_back([&] {
-      // Private store; same ground keys → same canonical token paths.
-      TermStore Store;
-      for (uint32_t I = 0; I < NumKeys; ++I) {
-        TermRef Key =
-            mkS(Store, F, {Store.mkInt(int64_t(I)), Store.mkAtom(A)});
-        ConcurrentTermTrie::InsertResult R = Trie.insert(Store, Key, I);
-        EXPECT_EQ(R.Value, I); // Value is key-determined: no torn result.
-        if (R.Inserted)
-          InsertWins[I].fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  for (std::thread &T : Threads)
-    T.join();
-
-  for (uint32_t I = 0; I < NumKeys; ++I)
-    EXPECT_EQ(InsertWins[I].load(), 1u) << "key " << I;
-  EXPECT_EQ(Trie.valueCount(), NumKeys);
-
-  TermStore Store;
-  for (uint32_t I = 0; I < NumKeys; ++I) {
-    TermRef Key =
-        mkS(Store, F, {Store.mkInt(int64_t(I)), Store.mkAtom(A)});
-    EXPECT_EQ(Trie.find(Store, Key), I);
-  }
-}
-
-/// Lock-free readers racing a writer: a found value is always the right
-/// one (never torn, never a half-built node), and after the writer joins
-/// every key is visible.
-TEST(ConcurrentTrieTest, FindIsSafeWhileInserting) {
-  constexpr uint32_t NumKeys = 400;
-  SymbolTable Symbols;
-  SymbolId F = Symbols.intern("g");
-
-  ConcurrentTermTrie Trie;
-  std::atomic<bool> Done{false};
-
-  std::thread Writer([&] {
-    TermStore Store;
-    for (uint32_t I = 0; I < NumKeys; ++I)
-      Trie.insert(Store, mkS(Store, F, {Store.mkInt(int64_t(I))}), I);
-    Done.store(true, std::memory_order_release);
-  });
-
-  std::vector<std::thread> Readers;
-  for (int R = 0; R < 3; ++R)
-    Readers.emplace_back([&] {
-      TermStore Store;
-      std::vector<TermRef> Keys;
-      for (uint32_t I = 0; I < NumKeys; ++I)
-        Keys.push_back(mkS(Store, F, {Store.mkInt(int64_t(I))}));
-      while (!Done.load(std::memory_order_acquire))
-        for (uint32_t I = 0; I < NumKeys; ++I) {
-          uint32_t V = Trie.find(Store, Keys[I]);
-          if (V != ConcurrentTermTrie::NoValue)
-            EXPECT_EQ(V, I);
-        }
-      // Quiescent: everything the writer inserted is visible.
-      for (uint32_t I = 0; I < NumKeys; ++I)
-        EXPECT_EQ(Trie.find(Store, Keys[I]), I);
-    });
-
-  Writer.join();
-  for (std::thread &T : Readers)
-    T.join();
-  EXPECT_EQ(Trie.valueCount(), NumKeys);
 }
 
 //===----------------------------------------------------------------------===//
@@ -266,6 +143,65 @@ TEST(SharedTableSpaceTest, DistinctVariantsDistinctEntries) {
   EXPECT_EQ(Space.publishedTables().size(), NumVariants);
   EXPECT_EQ(Space.stats().Claims, NumVariants);
   EXPECT_EQ(Space.stats().Publishes, NumVariants);
+}
+
+/// The one-claim invariant under contention: N threads claim the same
+/// variants, each in its own order and from a private store. Exactly one
+/// claim per variant wins, every thread agrees on each variant's entry, and
+/// the space ends with one entry per variant.
+TEST(SharedTableSpaceTest, ConcurrentClaimsOneWinnerPerVariant) {
+  constexpr size_t NumThreads = 8;
+  constexpr uint32_t NumVariants = 256;
+  SymbolTable Symbols;
+  SymbolId P = Symbols.intern("r"); // Interned before threads spawn: the
+  SymbolId A = Symbols.intern("a"); // symbol table is not shared-mutable.
+
+  SharedTableSpace Space(4);
+  std::vector<std::atomic<uint32_t>> Wins(NumVariants);
+  std::vector<std::atomic<SharedTableSpace::Entry *>> Seen(NumVariants);
+
+  std::vector<std::thread> Threads;
+  for (size_t T = 0; T < NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      std::vector<uint32_t> Order(NumVariants);
+      for (uint32_t I = 0; I < NumVariants; ++I)
+        Order[I] = I;
+      std::shuffle(Order.begin(), Order.end(), std::mt19937(uint32_t(T)));
+      TermStore Store;
+      for (uint32_t I : Order) {
+        // Variable sharing makes half the variants differ only in it.
+        TermRef X = Store.mkVar();
+        TermRef Call = mkS(Store, P,
+                           {Store.mkInt(int64_t(I / 2)),
+                            I % 2 ? X : Store.mkVar(), X, Store.mkAtom(A)});
+        SharedTableSpace::Outcome O =
+            Space.claim(Store, Call, P, 4, static_cast<uint32_t>(T));
+        ASSERT_NE(O.E, nullptr);
+        SharedTableSpace::Entry *Expected = nullptr;
+        if (!Seen[I].compare_exchange_strong(Expected, O.E)) {
+          EXPECT_EQ(Expected, O.E) << "variant " << I;
+        }
+        if (O.H == SharedTableSpace::Hit::Claimed) {
+          Wins[I].fetch_add(1, std::memory_order_relaxed);
+        } else {
+          EXPECT_EQ(O.H, SharedTableSpace::Hit::InFlight);
+        }
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  for (uint32_t I = 0; I < NumVariants; ++I)
+    EXPECT_EQ(Wins[I].load(), 1u) << "variant " << I;
+  uint32_t Entries = 0;
+  for (const SharedTableSpace::ShardStats &SS : Space.perShardStats())
+    Entries += SS.Entries;
+  EXPECT_EQ(Entries, NumVariants);
+  SharedTableSpace::Stats St = Space.stats();
+  EXPECT_EQ(St.Claims, NumVariants);
+  EXPECT_EQ(St.Lookups, NumThreads * NumVariants);
+  EXPECT_EQ(St.InFlightMisses, (NumThreads - 1) * NumVariants);
+  EXPECT_EQ(St.LockAcquisitions, St.Lookups);
 }
 
 //===----------------------------------------------------------------------===//

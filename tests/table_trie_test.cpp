@@ -1,18 +1,17 @@
-//===- table_trie_test.cpp - Term-trie table tests -------------------------===//
+//===- table_trie_test.cpp - Variant-set table tests ----------------------===//
 //
 // Part of the lpa project: a reproduction of "Practical Program Analysis
 // Using General Purpose Logic Programming Systems" (PLDI 1996).
 //
-// The trie contract: a root-to-leaf path is the canonical preorder
-// encoding of a term (tuple) with variables numbered in first-occurrence
-// order, so two keys land on the same leaf exactly when canonicalKey()
-// produces the same string — i.e. when the terms are variants. A variant
-// code (the flat word string supplementary frontiers store) spells the
-// same tokens and must agree too. The property test below checks both
-// equivalences on randomized terms. The end-to-end tests pin analysis
+// The variant-set contract: every table of the engine is a VariantCodeStore
+// level, keyed by the variant code of a term (tuple) -- its canonical
+// preorder tokens with variables numbered in first-occurrence order -- so
+// two keys share a position exactly when canonicalKey() produces the same
+// string, i.e. when the terms are variants. The property tests below check
+// that equivalence on randomized terms. The end-to-end tests pin analysis
 // results, answer order and table counts as literal values; they were
-// captured while a second, canonical-string table representation still
-// existed and agreed with the tries on every one of them.
+// captured while term tries and, before them, canonical strings held the
+// tables, and every representation since has agreed on every one of them.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +20,6 @@
 #include "reader/Parser.h"
 #include "term/TermWriter.h"
 #include "strictness/Strictness.h"
-#include "table/TermTrie.h"
 #include "table/VariantCode.h"
 #include "term/Variant.h"
 
@@ -36,7 +34,7 @@ using namespace lpa;
 
 namespace {
 
-class TermTrieTest : public ::testing::Test {
+class VariantSetTest : public ::testing::Test {
 protected:
   TermRef parse(const char *Text) {
     auto T = Parser::parseTerm(Syms, S, Text);
@@ -44,110 +42,112 @@ protected:
     return *T;
   }
 
+  /// Codes.insert of \p T as a one-root tuple.
+  VariantCodeStore::InsertResult insert(TermRef T,
+                                        std::vector<TermRef> *Vars = nullptr) {
+    return Codes.insert(0, S, {&T, 1}, Vars);
+  }
+  /// Codes.find of \p T as a one-root tuple.
+  uint32_t find(TermRef T) { return Codes.find(0, S, {&T, 1}); }
+
+  static constexpr uint32_t NotFound = VariantCodeStore::NotFound;
+
   SymbolTable Syms;
   TermStore S;
-  TermTrie Trie;
+  VariantCodeStore Codes{1};
 };
 
-TEST_F(TermTrieTest, InsertThenFindGroundTerms) {
-  EXPECT_TRUE(Trie.insert(S, parse("f(a, 1)"), 7).Inserted);
-  EXPECT_TRUE(Trie.insert(S, parse("f(a, 2)"), 8).Inserted);
-  EXPECT_TRUE(Trie.insert(S, parse("g(a, 1)"), 9).Inserted);
-  EXPECT_EQ(Trie.find(S, parse("f(a, 1)")), 7u);
-  EXPECT_EQ(Trie.find(S, parse("f(a, 2)")), 8u);
-  EXPECT_EQ(Trie.find(S, parse("g(a, 1)")), 9u);
-  EXPECT_EQ(Trie.find(S, parse("f(a, 3)")), TermTrie::NoValue);
-  EXPECT_EQ(Trie.find(S, parse("f(b, 1)")), TermTrie::NoValue);
-  EXPECT_EQ(Trie.valueCount(), 3u);
+TEST_F(VariantSetTest, InsertThenFindGroundTerms) {
+  EXPECT_TRUE(insert(parse("f(a, 1)")).Inserted);
+  EXPECT_TRUE(insert(parse("f(a, 2)")).Inserted);
+  EXPECT_TRUE(insert(parse("g(a, 1)")).Inserted);
+  EXPECT_EQ(find(parse("f(a, 1)")), 0u);
+  EXPECT_EQ(find(parse("f(a, 2)")), 1u);
+  EXPECT_EQ(find(parse("g(a, 1)")), 2u);
+  EXPECT_EQ(find(parse("f(a, 3)")), NotFound);
+  EXPECT_EQ(find(parse("f(b, 1)")), NotFound);
+  EXPECT_EQ(Codes.size(0), 3u);
 }
 
-TEST_F(TermTrieTest, DuplicateInsertIsAHit) {
-  auto First = Trie.insert(S, parse("p(a, f(b))"), 1);
+TEST_F(VariantSetTest, DuplicateInsertIsAHit) {
+  auto First = insert(parse("p(a, f(b))"));
   EXPECT_TRUE(First.Inserted);
-  auto Second = Trie.insert(S, parse("p(a, f(b))"), 2);
+  auto Second = insert(parse("p(a, f(b))"));
   EXPECT_FALSE(Second.Inserted);
-  EXPECT_EQ(Second.Value, 1u);
-  EXPECT_EQ(Second.NodesCreated, 0u);
-  EXPECT_EQ(Trie.valueCount(), 1u);
+  EXPECT_EQ(Second.Index, First.Index);
+  EXPECT_EQ(Codes.size(0), 1u);
+  // The hit's code was dropped again: later hits reuse the arena's tail.
+  size_t Bytes = Codes.memoryBytes();
+  EXPECT_FALSE(insert(parse("p(a, f(b))")).Inserted);
+  EXPECT_EQ(Codes.memoryBytes(), Bytes);
 }
 
-TEST_F(TermTrieTest, VariantsShareOneKey) {
+TEST_F(VariantSetTest, VariantsShareOneKey) {
   // Renamed variables are the same key; sharing patterns are not.
-  EXPECT_TRUE(Trie.insert(S, parse("p(X, Y)"), 1).Inserted);
-  EXPECT_FALSE(Trie.insert(S, parse("p(A, B)"), 2).Inserted);
-  EXPECT_TRUE(Trie.insert(S, parse("p(X, X)"), 3).Inserted);
-  EXPECT_FALSE(Trie.insert(S, parse("p(C, C)"), 4).Inserted);
+  EXPECT_TRUE(insert(parse("p(X, Y)")).Inserted);
+  EXPECT_FALSE(insert(parse("p(A, B)")).Inserted);
+  EXPECT_TRUE(insert(parse("p(X, X)")).Inserted);
+  EXPECT_FALSE(insert(parse("p(C, C)")).Inserted);
   // Instances are distinct keys from their generalizations.
-  EXPECT_TRUE(Trie.insert(S, parse("p(a, X)"), 5).Inserted);
-  EXPECT_EQ(Trie.valueCount(), 3u);
+  EXPECT_TRUE(insert(parse("p(a, X)")).Inserted);
+  EXPECT_EQ(Codes.size(0), 3u);
 }
 
-TEST_F(TermTrieTest, VarsOutInFirstOccurrenceOrder) {
+TEST_F(VariantSetTest, VarsOutInFirstOccurrenceOrder) {
   TermRef T = parse("p(X, f(Y, X), Z)");
   std::vector<TermRef> Vars;
-  Trie.insert(S, T, 0, &Vars);
+  insert(T, &Vars);
   // X, Y, Z in left-to-right first-occurrence order; X listed once.
   ASSERT_EQ(Vars.size(), 3u);
   EXPECT_EQ(Vars[0], S.deref(S.arg(T, 0)));
   EXPECT_EQ(Vars[1], S.deref(S.arg(S.deref(S.arg(T, 1)), 0)));
   EXPECT_EQ(Vars[2], S.deref(S.arg(T, 2)));
-  // A hit reports the same variables for the probing term.
+  // A hit reports the probing term's variables, replacing what was there.
   TermRef U = parse("p(A, f(B, A), C)");
-  std::vector<TermRef> Vars2;
-  EXPECT_FALSE(Trie.insert(S, U, 1, &Vars2).Inserted);
-  ASSERT_EQ(Vars2.size(), 3u);
-  EXPECT_EQ(Vars2[0], S.deref(S.arg(U, 0)));
+  EXPECT_FALSE(insert(U, &Vars).Inserted);
+  ASSERT_EQ(Vars.size(), 3u);
+  EXPECT_EQ(Vars[0], S.deref(S.arg(U, 0)));
 }
 
-TEST_F(TermTrieTest, TupleKeysShareOneNumbering) {
+TEST_F(VariantSetTest, TupleKeysShareOneNumbering) {
   // The variable numbering spans the whole tuple: (X, X) != (X, Y).
   TermRef A = S.mkVar(), B = S.mkVar();
   TermRef SameTwice[2] = {A, A};
   TermRef Distinct[2] = {A, B};
-  EXPECT_TRUE(Trie.insert(S, std::span<const TermRef>(SameTwice), 1).Inserted);
-  EXPECT_TRUE(Trie.insert(S, std::span<const TermRef>(Distinct), 2).Inserted);
+  EXPECT_TRUE(Codes.insert(0, S, SameTwice).Inserted);
+  EXPECT_TRUE(Codes.insert(0, S, Distinct).Inserted);
   TermRef C = S.mkVar(), D = S.mkVar();
   TermRef SameAgain[2] = {C, C};
   TermRef DistinctAgain[2] = {C, D};
-  EXPECT_EQ(Trie.find(S, std::span<const TermRef>(SameAgain)), 1u);
-  EXPECT_EQ(Trie.find(S, std::span<const TermRef>(DistinctAgain)), 2u);
+  EXPECT_EQ(Codes.find(0, S, SameAgain), 0u);
+  EXPECT_EQ(Codes.find(0, S, DistinctAgain), 1u);
 }
 
-TEST_F(TermTrieTest, EmptyTupleKeyUsesTheRoot) {
+TEST_F(VariantSetTest, EmptyTupleIsOneKey) {
   // A ground call has no free variables: its answer binding tuple is
   // empty, and the empty key must behave like any other (one slot).
   std::span<const TermRef> Empty;
-  EXPECT_TRUE(Trie.insert(S, Empty, 5).Inserted);
-  auto Again = Trie.insert(S, Empty, 6);
+  EXPECT_EQ(Codes.find(0, S, Empty), NotFound);
+  EXPECT_TRUE(Codes.insert(0, S, Empty).Inserted);
+  auto Again = Codes.insert(0, S, Empty);
   EXPECT_FALSE(Again.Inserted);
-  EXPECT_EQ(Again.Value, 5u);
-  EXPECT_EQ(Trie.find(S, Empty), 5u);
+  EXPECT_EQ(Again.Index, 0u);
+  EXPECT_EQ(Codes.find(0, S, Empty), 0u);
+  EXPECT_EQ(Codes.code(0, 0).size(), 0u);
 }
 
-TEST_F(TermTrieTest, IntAndAtomPayloadsDoNotAlias) {
-  // An atom whose SymbolId happens to equal an integer's value must not
-  // collide with it: the token kind disambiguates.
-  SymbolId A = Syms.intern("aliasing_probe");
-  TermRef Atom = S.mkAtom(A);
-  TermRef Int = S.mkInt(static_cast<int64_t>(A));
-  EXPECT_TRUE(Trie.insert(S, Atom, 1).Inserted);
-  EXPECT_TRUE(Trie.insert(S, Int, 2).Inserted);
-  EXPECT_EQ(Trie.find(S, Atom), 1u);
-  EXPECT_EQ(Trie.find(S, Int), 2u);
+TEST_F(VariantSetTest, IntAndAtomPayloadsDoNotAlias) {
+  // Int(5) and the atom whose SymbolId is 5 must not collide: the token
+  // tag disambiguates.
+  TermRef Atom = S.mkAtom(5);
+  TermRef Int = S.mkInt(5);
+  EXPECT_TRUE(insert(Atom).Inserted);
+  EXPECT_TRUE(insert(Int).Inserted);
+  EXPECT_EQ(find(Atom), 0u);
+  EXPECT_EQ(find(Int), 1u);
 }
 
-TEST_F(TermTrieTest, HashEscalationKeepsWideFanoutsCorrect) {
-  // 64 distinct children under one node: well past EscalateFanout, so the
-  // chain escalates to a hash map mid-test and must stay consistent.
-  for (int I = 0; I < 64; ++I)
-    EXPECT_TRUE(Trie.insert(S, S.mkInt(I), static_cast<uint32_t>(I)).Inserted);
-  for (int I = 0; I < 64; ++I)
-    EXPECT_EQ(Trie.find(S, S.mkInt(I)), static_cast<uint32_t>(I));
-  EXPECT_EQ(Trie.find(S, S.mkInt(64)), TermTrie::NoValue);
-  EXPECT_EQ(Trie.nodeCount(), 64u);
-}
-
-TEST_F(TermTrieTest, LongRefChainsDerefToTheirTarget) {
+TEST_F(VariantSetTest, LongRefChainsDerefToTheirTarget) {
   // v -> v -> ... -> X (unbound): keys through the chain are the same key
   // as X itself.
   TermRef X = S.mkVar();
@@ -160,28 +160,31 @@ TEST_F(TermTrieTest, LongRefChainsDerefToTheirTarget) {
   TermRef Args1[1] = {Chain};
   std::vector<TermRef> Vars;
   TermRef F1 = S.mkStruct(Syms.intern("f"), std::span<const TermRef>(Args1));
-  EXPECT_TRUE(Trie.insert(S, F1, 1, &Vars).Inserted);
+  EXPECT_TRUE(insert(F1, &Vars).Inserted);
   ASSERT_EQ(Vars.size(), 1u);
   EXPECT_EQ(Vars[0], X); // The dereffed variable, not a chain link.
   TermRef Args2[1] = {X};
   TermRef F2 = S.mkStruct(Syms.intern("f"), std::span<const TermRef>(Args2));
-  EXPECT_FALSE(Trie.insert(S, F2, 2).Inserted);
+  EXPECT_FALSE(insert(F2).Inserted);
   // A chain ending in a ground term keys as that term.
   TermRef G = S.mkVar();
   S.bind(G, parse("g(a)"));
-  EXPECT_TRUE(Trie.insert(S, G, 3).Inserted);
-  EXPECT_EQ(Trie.find(S, parse("g(a)")), 3u);
+  EXPECT_TRUE(insert(G).Inserted);
+  EXPECT_EQ(find(parse("g(a)")), 1u);
 }
 
-TEST_F(TermTrieTest, ClearDropsEverything) {
-  Trie.insert(S, parse("f(a)"), 1);
-  Trie.insert(S, parse("f(X)"), 2);
-  Trie.clear();
-  EXPECT_EQ(Trie.valueCount(), 0u);
-  EXPECT_EQ(Trie.nodeCount(), 0u);
-  EXPECT_EQ(Trie.find(S, parse("f(a)")), TermTrie::NoValue);
-  EXPECT_TRUE(Trie.insert(S, parse("f(a)"), 9).Inserted);
-  EXPECT_EQ(Trie.find(S, parse("f(a)")), 9u);
+TEST_F(VariantSetTest, FindOfAnAbsentKeyChangesNothing) {
+  // find() encodes into per-thread scratch: a miss neither inserts nor
+  // grows the store, in the linear-scan range or past it.
+  for (int I = 0; I < 20; ++I) {
+    EXPECT_EQ(find(S.mkInt(I)), NotFound);
+    size_t Bytes = Codes.memoryBytes();
+    EXPECT_EQ(find(parse("h(X, Y, X)")), NotFound);
+    EXPECT_EQ(Codes.size(0), static_cast<size_t>(I));
+    EXPECT_EQ(Codes.memoryBytes(), Bytes);
+    EXPECT_TRUE(insert(S.mkInt(I)).Inserted);
+    EXPECT_EQ(find(S.mkInt(I)), static_cast<uint32_t>(I));
+  }
 }
 
 /// Builds a random term over a small vocabulary. Shared subterms come from
@@ -271,49 +274,59 @@ VariantCodeStore::InsertResult insertOne(VariantCodeStore &Codes,
   return Codes.insert(Level, S, {&T, 1});
 }
 
-TEST_F(TermTrieTest, PropertyTrieEqualsCanonicalKeyEquality) {
-  // The central invariant: two terms reach the same trie leaf exactly
-  // when their canonical keys are equal (path equality == variance). The
-  // same holds for equal variant codes and for VariantCodeStore hits, and
-  // a code decodes to a variant of its term.
+TEST_F(VariantSetTest, PropertyCodeSetEqualsCanonicalKeyEquality) {
+  // The central invariant: two terms share a position exactly when their
+  // canonical keys are equal (code equality == variance), through insert
+  // and find alike, and a code decodes to a variant of its term.
   RandomTermGen Gen(Syms, S, /*Seed=*/0xC0FFEE);
   std::map<std::string, uint32_t> FirstByKey;
   std::map<std::vector<uint64_t>, uint32_t> FirstByCode;
-  VariantCodeStore Codes(/*NumLevels=*/1);
-  uint32_t NextValue = 0;
   for (int I = 0; I < 500; ++I) {
     TermRef T = Gen.gen(/*Depth=*/3);
     std::string Key = canonicalKey(S, T);
-    auto [It, New] = FirstByKey.emplace(Key, NextValue);
-    auto R = Trie.insert(S, T, NextValue);
-    EXPECT_EQ(R.Inserted, New) << "term " << I << " key " << Key;
-    EXPECT_EQ(R.Value, It->second) << "term " << I << " key " << Key;
-    EXPECT_EQ(Trie.find(S, T), It->second);
+    auto [It, New] = FirstByKey.emplace(
+        Key, static_cast<uint32_t>(FirstByKey.size()));
+    EXPECT_EQ(find(T), New ? NotFound : It->second) << "term " << I;
 
     std::vector<uint64_t> Code = codeOf(S, T);
-    auto [CIt, CNew] = FirstByCode.emplace(Code, NextValue);
+    auto [CIt, CNew] = FirstByCode.emplace(Code, It->second);
     EXPECT_EQ(CNew, New) << "term " << I;
     EXPECT_EQ(CIt->second, It->second) << "term " << I;
-    auto CR = insertOne(Codes, 0, S, T);
-    EXPECT_EQ(CR.Inserted, New) << "term " << I;
-    EXPECT_EQ(CR.Index, It->second) << "term " << I;
-    auto Stored = Codes.code(0, CR.Index);
+    auto R = insert(T);
+    EXPECT_EQ(R.Inserted, New) << "term " << I << " key " << Key;
+    EXPECT_EQ(R.Index, It->second) << "term " << I << " key " << Key;
+    EXPECT_EQ(find(T), It->second) << "term " << I;
+    auto Stored = Codes.code(0, R.Index);
     EXPECT_TRUE(std::equal(Stored.begin(), Stored.end(), Code.begin(),
                            Code.end()));
     TermRef Back = decodeOne(Code, S);
     EXPECT_TRUE(isVariant(S, T, Back)) << "term " << I;
     EXPECT_EQ(codeOf(S, Back), Code) << "term " << I;
-    if (New)
-      ++NextValue;
   }
-  EXPECT_EQ(Trie.valueCount(), FirstByKey.size());
   EXPECT_EQ(Codes.size(0), FirstByKey.size());
   // Sanity: the workload actually produced both hits and misses.
   EXPECT_GT(FirstByKey.size(), 50u);
   EXPECT_LT(FirstByKey.size(), 500u);
 }
 
-TEST_F(TermTrieTest, PropertyTupleCodesEqualWrappedVariance) {
+TEST_F(VariantSetTest, PropertyVarsOutEqualsCollectFreeVars) {
+  // The subgoal index hands ensureSubgoal the call's variables in the
+  // order substitution-factored answers bind them: collectFreeVars order,
+  // on a hit as on a miss, whatever Ref chains the term carries.
+  RandomTermGen Gen(Syms, S, /*Seed=*/0xFACE);
+  size_t WithVars = 0;
+  for (int I = 0; I < 300; ++I) {
+    TermRef T = Gen.gen(/*Depth=*/3);
+    std::vector<TermRef> Want, Got = {T};
+    collectFreeVars(S, T, Want);
+    insert(T, &Got);
+    EXPECT_EQ(Got, Want) << "term " << I;
+    WithVars += !Want.empty();
+  }
+  EXPECT_GT(WithVars, 100u);
+}
+
+TEST_F(VariantSetTest, PropertyTupleCodesEqualWrappedVariance) {
   // A root tuple is coded as the struct wrapping it, less the wrapper:
   // two tuples of one length have equal codes iff their wrappings are
   // variants, and a level of tuples makes the same hit/miss decisions, at
@@ -365,7 +378,7 @@ TEST_F(TermTrieTest, PropertyTupleCodesEqualWrappedVariance) {
   }
 }
 
-TEST_F(TermTrieTest, TupleCodeKeepsCrossRootSharing) {
+TEST_F(VariantSetTest, TupleCodeKeepsCrossRootSharing) {
   // (X, f(X)) and (X, f(Y)) are not variants: the numbering runs across
   // the roots, and decoding keeps the one variable shared.
   TermRef X = S.mkVar(), Y = S.mkVar();
@@ -394,7 +407,7 @@ TEST_F(TermTrieTest, TupleCodeKeepsCrossRootSharing) {
   EXPECT_EQ(Dst.deref(Back[0]), Dst.deref(Back[1]));
 }
 
-TEST_F(TermTrieTest, VariantCodeEdgeValuesRoundTrip) {
+TEST_F(VariantSetTest, VariantCodeEdgeValuesRoundTrip) {
   // Extreme integers, symbol ids past the token's low bits, and a wide
   // struct all survive encode -> decode -> encode unchanged.
   SymbolId Big = (SymbolId(1) << 30) + 7, Max = ~SymbolId(0);
@@ -422,7 +435,7 @@ TEST_F(TermTrieTest, VariantCodeEdgeValuesRoundTrip) {
   EXPECT_NE(codeOf(S, S.mkAtom(5)), codeOf(S, S.mkInt(5)));
 }
 
-TEST_F(TermTrieTest, VariantCodeOfSharedDagEqualsItsTreeCopy) {
+TEST_F(VariantSetTest, VariantCodeOfSharedDagEqualsItsTreeCopy) {
   // f(T, T) with T = g(X, h(X)) shared, against two separate copies of T
   // over one variable: the same term, so the same code.
   TermRef Shared = parse("g(X, h(X))");
@@ -441,7 +454,7 @@ TEST_F(TermTrieTest, VariantCodeOfSharedDagEqualsItsTreeCopy) {
   EXPECT_TRUE(isVariant(S, Dag, Back[0]));
 }
 
-TEST_F(TermTrieTest, VariantCodeOfLongListIsIterative) {
+TEST_F(VariantSetTest, VariantCodeOfLongListIsIterative) {
   // A 100k-element list of fresh variables: recursion would overflow the
   // native stack, and a linear variable scan would take minutes.
   std::vector<TermRef> Elems;
@@ -464,21 +477,21 @@ TEST_F(TermTrieTest, VariantCodeOfLongListIsIterative) {
   EXPECT_EQ(codeOf(Dst, Roots), Code);
 }
 
-TEST_F(TermTrieTest, VariantCodeStoreIndexesLargeLevels) {
+TEST_F(VariantSetTest, VariantCodeStoreIndexesLargeLevels) {
   // Past the linear-scan limit the level switches to its hash index; every
   // code stays findable, and a hit leaves the arena as it was.
-  VariantCodeStore Codes(/*NumLevels=*/1);
   for (int I = 0; I < 1000; ++I)
-    EXPECT_TRUE(insertOne(Codes, 0, S,
-                          parse(("p(X, " + std::to_string(I) + ")").c_str()))
-                    .Inserted);
+    EXPECT_TRUE(
+        insert(parse(("p(X, " + std::to_string(I) + ")").c_str())).Inserted);
   size_t Bytes = Codes.memoryBytes();
   for (int I = 0; I < 1000; ++I) {
-    auto R = insertOne(Codes, 0, S,
-                       parse(("p(Y, " + std::to_string(I) + ")").c_str()));
+    TermRef T = parse(("p(Y, " + std::to_string(I) + ")").c_str());
+    EXPECT_EQ(find(T), static_cast<uint32_t>(I));
+    auto R = insert(T);
     EXPECT_FALSE(R.Inserted);
     EXPECT_EQ(R.Index, static_cast<uint32_t>(I));
   }
+  EXPECT_EQ(find(parse("p(Y, 1000)")), NotFound);
   EXPECT_EQ(Codes.size(0), 1000u);
   EXPECT_EQ(Codes.memoryBytes(), Bytes);
 }

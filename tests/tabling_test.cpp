@@ -223,7 +223,7 @@ TEST_F(TablingTest, TableSpaceAccountingIsPositive) {
 
 TEST_F(TablingTest, CompletionReleasesScaffoldingState) {
   // On SCC completion the evaluation-only state -- clause frontiers
-  // (supplementary tables), answer tries, consumer links -- must be freed:
+  // (supplementary tables), answer dedup sets, consumer links -- must be freed:
   // a completed table never gains an answer. tableSpaceBytes() must shrink
   // by exactly the accounted amount (it no longer counts the freed state).
   consult(R"(
@@ -240,7 +240,7 @@ TEST_F(TablingTest, CompletionReleasesScaffoldingState) {
   for (const Subgoal *SG : S.subgoals()) {
     EXPECT_TRUE(SG->Complete);
     EXPECT_TRUE(SG->Frontiers.empty());
-    EXPECT_EQ(SG->AnswerTrie, nullptr);
+    EXPECT_EQ(SG->AnswerIndex, nullptr);
     EXPECT_TRUE(SG->Consumers.empty());
   }
   // The release was accounted, and the retained table space excludes it.
@@ -437,7 +437,7 @@ TEST_F(TablingTest, FrontierCountsArePinned) {
   EXPECT_EQ(St.AnswersRecorded, 24u);
   EXPECT_EQ(St.TabledCalls, 10u);
   EXPECT_EQ(St.AnswersDuplicate, 6u);
-  // Subgoal-trie hits are repeat tabled calls and answer-trie hits are
+  // Subgoal-index hits are repeat tabled calls and answer-set hits are
   // duplicate answers; every created subgoal and recorded answer was one
   // miss. The rest are frontier probes.
   EXPECT_EQ(St.TrieHits - (St.TabledCalls - St.SubgoalsCreated) -
