@@ -14,7 +14,6 @@
 #include "table/VariantCode.h"
 #include "term/TermCopy.h"
 #include "term/TermWriter.h"
-#include "term/Variant.h"
 
 #include <algorithm>
 #include <deque>
@@ -33,8 +32,10 @@ const DepthKPred *DepthKResult::find(const std::string &Name,
 
 namespace {
 
-/// The tabled abstract interpreter. Call/answer patterns live in a table
-/// store; clause execution happens in a scratch heap with mark/undo.
+/// The tabled abstract interpreter. Call and answer patterns are variant
+/// codes (DESIGN.md §9): one set of calls, whose positions number the
+/// entries, and one answer set per entry. Clause execution decodes them
+/// into a scratch heap and undoes to a mark.
 ///
 /// Evaluation is worklist-driven and semi-naive at entry granularity: an
 /// entry's producer re-runs only when an entry it consumed from gained
@@ -55,11 +56,11 @@ public:
 
   struct Entry {
     PredKey Pred;
-    TermRef CallTuple; ///< Abstract call term in the table store.
-    std::string Key;
-    uint32_t Ordinal = 0; ///< Index into entries(); provenance subgoal id.
-    std::vector<TermRef> Answers;
-    std::unordered_set<std::string> AnswerKeys;
+    /// Position of the call pattern in Calls and of the entry in
+    /// entries(); the provenance subgoal id.
+    uint32_t Ordinal = 0;
+    /// The answer patterns, one level in insertion order.
+    VariantCodeStore Answers{1};
     /// Insertion-ordered: wake() walks this, and enqueue order decides the
     /// order answers land in dependents' tables. Iterating a pointer-hashed
     /// set here made that order (and hence the rendered result) vary run to
@@ -74,15 +75,29 @@ public:
   /// the worklist.
   void analyzePredicate(PredKey Pred);
 
-  const std::vector<Entry *> &entries() const { return Order; }
-  const TermStore &tableStore() const { return Tables; }
+  const std::deque<Entry> &entries() const { return Entries; }
   const Entry *openEntry(PredKey Pred) const {
     auto It = OpenEntries.find(keyOf(Pred));
     return It == OpenEntries.end() ? nullptr : It->second;
   }
 
-  size_t tableSpaceBytes() const;
+  /// Builds the call pattern of \p E in \p Dst.
+  TermRef callPattern(const Entry &E, TermStore &Dst) {
+    Calls.decode(0, E.Ordinal, Dst, Decoded);
+    return Decoded[0];
+  }
+  /// Builds answer pattern \p I of \p E in \p Dst.
+  TermRef answerPattern(const Entry &E, size_t I, TermStore &Dst) {
+    E.Answers.decode(0, I, Dst, Decoded);
+    return Decoded[0];
+  }
+
   uint64_t numAnswers() const;
+
+  /// Bytes of the call set and of every entry's entryBytes(), and their
+  /// running maximum: a widening frees an answer set, so tables shrink.
+  size_t TableBytes = 0;
+  size_t PeakTableBytes = 0;
 
   /// Fills the registry's table-snapshot fields from the current entry
   /// tables (idempotent; mirrors Solver::snapshotTableMetrics).
@@ -105,16 +120,28 @@ public:
     if (!Prov)
       return {};
     return Prov->check([&](ProvPremise P) {
-      if (P.SubgoalIdx >= Order.size())
+      if (P.SubgoalIdx >= Entries.size())
         return false;
-      const Entry *E = Order[P.SubgoalIdx];
-      return P.AnswerIdx < E->Answers.size() || E->Widened;
+      const Entry &E = Entries[P.SubgoalIdx];
+      return P.AnswerIdx < E.Answers.size(0) || E.Widened;
     });
   }
 
 private:
   static uint64_t keyOf(PredKey P) {
     return (uint64_t(P.Sym) << 32) | P.Arity;
+  }
+
+  /// Table bytes of \p E besides its call's code: the entry itself, its
+  /// answer set and its dependents.
+  static size_t entryBytes(const Entry &E) {
+    return sizeof(Entry) + E.Answers.memoryBytes() +
+           E.Dependents.size() * sizeof(void *) * 2;
+  }
+  /// Moves TableBytes by a part that went from \p Before to \p After bytes.
+  void resized(size_t Before, size_t After) {
+    TableBytes += After - Before; // Wraps correctly when a part shrinks.
+    PeakTableBytes = std::max(PeakTableBytes, TableBytes);
   }
 
   /// Finds or creates the entry for the abstract call \p Call (a term in
@@ -166,9 +193,8 @@ private:
   EvalObserver *Obs; ///< Null when no channel is attached.
 
   TermStore Heap;
-  TermStore Tables;
-  std::unordered_map<std::string, std::unique_ptr<Entry>> Table;
-  std::vector<Entry *> Order;
+  VariantCodeStore Calls{1};
+  std::deque<Entry> Entries; ///< Grows at the back; references stay valid.
   std::unordered_map<uint64_t, Entry *> OpenEntries;
   std::unordered_map<uint64_t, uint32_t> CallsPerPred;
   std::deque<Entry *> Worklist;
@@ -185,6 +211,8 @@ private:
   std::vector<TermRef> CutArgs, StateArgs;
   /// runEntry's decoded state roots and the ones its successors keep.
   std::vector<TermRef> Roots;
+  /// Roots of callPattern() and answerPattern(), apart from runEntry's.
+  std::vector<TermRef> Decoded;
   std::vector<uint32_t> Keep;
   VarRenaming CutRenaming;
 };
@@ -210,10 +238,12 @@ AbsInterp::Entry &AbsInterp::ensureOpenEntry(PredKey Pred) {
 }
 
 AbsInterp::Entry &AbsInterp::ensureEntry(PredKey Pred, TermRef Call) {
-  std::string Key = canonicalKey(Heap, Call);
-  auto It = Table.find(Key);
-  if (It != Table.end())
-    return *It->second;
+  // Probe before inserting: a call the widening below sends to the open
+  // entry takes no position.
+  std::span<const TermRef> Root(&Call, 1);
+  uint32_t Pos = Calls.find(0, Heap, Root);
+  if (Pos != VariantCodeStore::NotFound)
+    return Entries[Pos];
 
   // Call-pattern widening: too many patterns for one predicate fall back
   // to the open call (unless this *is* an open call being created, which
@@ -232,16 +262,14 @@ AbsInterp::Entry &AbsInterp::ensureEntry(PredKey Pred, TermRef Call) {
     return ensureOpenEntry(Pred);
   ++Count;
 
-  auto Owned = std::make_unique<Entry>();
-  Entry &E = *Owned;
+  size_t CallBytes = Calls.memoryBytes();
+  Calls.insert(0, Heap, Root);
+  Entry &E = Entries.emplace_back();
   E.Pred = Pred;
-  E.Key = Key;
-  E.CallTuple = copyTerm(Heap, Call, Tables);
-  E.Ordinal = static_cast<uint32_t>(Order.size());
-  Table.emplace(E.Key, std::move(Owned));
-  Order.push_back(&E);
+  E.Ordinal = static_cast<uint32_t>(Entries.size() - 1);
+  resized(CallBytes, Calls.memoryBytes() + entryBytes(E));
   if (Obs)
-    Obs->subgoalNew(Symbols, Pred.Sym, Pred.Arity, Order.size());
+    Obs->subgoalNew(Symbols, Pred.Sym, Pred.Arity, Entries.size());
   enqueue(E);
   return E;
 }
@@ -339,13 +367,15 @@ void AbsInterp::solveGoal(Entry &Producer, TermRef G, const Fn &OnSolution) {
     return; // Undefined predicate: fail.
 
   Entry &E = ensureEntry(Pred, cutCall(Pred, G));
-  if (E.DependentSet.insert(&Producer).second)
+  if (E.DependentSet.insert(&Producer).second) {
+    size_t Before = entryBytes(E);
     E.Dependents.push_back(&Producer);
+    resized(Before, entryBytes(E));
+  }
 
-  for (size_t I = 0; I < E.Answers.size(); ++I) {
+  for (size_t I = 0; I < E.Answers.size(0); ++I) {
     auto M = Heap.mark();
-    TermRef Ans = copyTerm(Tables, E.Answers[I], Heap);
-    if (Domain.unifyAbstract(Heap, G, Ans)) {
+    if (Domain.unifyAbstract(Heap, G, answerPattern(E, I, Heap))) {
       if (Prov)
         LastPremise = ProvPremise{E.Ordinal, static_cast<uint32_t>(I)};
       OnSolution();
@@ -363,10 +393,10 @@ void AbsInterp::recordAnswer(Entry &E, TermRef AnsPattern, uint32_t ClauseIdx,
   if (E.Widened) {
     // Check subsumption against the widened pattern(s); only genuinely
     // new behaviour re-widens.
-    for (TermRef Existing : E.Answers) {
+    for (size_t I = 0; I < E.Answers.size(0); ++I) {
       auto M = Heap.mark();
-      TermRef Pat = copyTerm(Tables, Existing, Heap);
-      bool Covered = Domain.subsumes(Heap, Pat, AnsPattern);
+      bool Covered =
+          Domain.subsumes(Heap, answerPattern(E, I, Heap), AnsPattern);
       Heap.undoTo(M);
       if (Covered) {
         NoteDup();
@@ -374,34 +404,33 @@ void AbsInterp::recordAnswer(Entry &E, TermRef AnsPattern, uint32_t ClauseIdx,
       }
     }
   }
-  std::string AKey = canonicalKey(Heap, AnsPattern);
-  if (E.AnswerKeys.count(AKey)) {
+  size_t Before = entryBytes(E);
+  if (!E.Answers.insert(0, Heap, std::span(&AnsPattern, 1)).Inserted) {
     NoteDup();
     return;
   }
-  TermRef Stored = copyTerm(Heap, AnsPattern, Tables);
-  E.AnswerKeys.insert(std::move(AKey));
-  E.Answers.push_back(Stored);
+  resized(Before, entryBytes(E));
+  size_t NumAnswers = E.Answers.size(0);
   ++AnswersRecorded;
   if (Obs)
-    Obs->answerNew(Symbols, E.Pred.Sym, E.Pred.Arity, E.Ordinal,
-                   E.Answers.size(), Tables.memoryBytes(), AnswersRecorded,
-                   Order.size());
+    Obs->answerNew(Symbols, E.Pred.Sym, E.Pred.Arity, E.Ordinal, NumAnswers,
+                   TableBytes, AnswersRecorded, Entries.size());
   if (Prov)
-    Prov->record(E.Ordinal, E.Answers.size() - 1, ClauseIdx,
+    Prov->record(E.Ordinal, NumAnswers - 1, ClauseIdx,
                  Premises ? std::span<const ProvPremise>(*Premises)
                           : std::span<const ProvPremise>());
 
-  // Answer widening: collapse an oversized answer set to its lgg.
-  if (E.Answers.size() > Opts.MaxAnswersPerCall) {
+  // Answer widening: collapse an oversized answer set to its lgg. The
+  // caller undoes the heap, folded terms included.
+  if (NumAnswers > Opts.MaxAnswersPerCall) {
     ++Widenings;
-    TermRef Folded = E.Answers[0];
-    for (size_t I = 1; I < E.Answers.size(); ++I)
-      Folded = Domain.lgg(Tables, Folded, E.Answers[I], Tables);
-    E.Answers.clear();
-    E.AnswerKeys.clear();
-    E.Answers.push_back(Folded);
-    E.AnswerKeys.insert(canonicalKey(Tables, Folded));
+    TermRef Folded = answerPattern(E, 0, Heap);
+    for (size_t I = 1; I < NumAnswers; ++I)
+      Folded = Domain.lgg(Heap, Folded, answerPattern(E, I, Heap), Heap);
+    Before = entryBytes(E);
+    E.Answers = VariantCodeStore(1);
+    E.Answers.insert(0, Heap, std::span(&Folded, 1));
+    resized(Before, entryBytes(E));
     E.Widened = true;
     if (Prov) {
       // The folded pattern subsumes the dropped answers but is derived by
@@ -431,7 +460,7 @@ void AbsInterp::runEntry(Entry &E) {
       Obs->clauseResolve(Symbols, E.Pred.Sym, E.Pred.Arity,
                          /*ProducerStep=*/false);
     auto M = Heap.mark();
-    TermRef Call = copyTerm(Tables, E.CallTuple, Heap);
+    TermRef Call = callPattern(E, Heap);
     TermRef Delta = DB.instantiate(C, Heap);
     if (!Domain.unifyAbstract(Heap, Call, C.Head + Delta)) {
       Heap.undoTo(M);
@@ -518,43 +547,22 @@ void AbsInterp::analyzePredicate(PredKey Pred) {
   drainWorklist();
 }
 
-size_t AbsInterp::tableSpaceBytes() const {
-  size_t Bytes = Tables.memoryBytes();
-  for (const Entry *E : Order) {
-    Bytes += sizeof(Entry);
-    Bytes += E->Key.capacity();
-    Bytes += E->Answers.capacity() * sizeof(TermRef);
-    for (const auto &K : E->AnswerKeys)
-      Bytes += K.capacity() + sizeof(void *) * 2;
-    Bytes += E->Dependents.size() * sizeof(void *) * 2;
-  }
-  Bytes += Table.size() * (sizeof(void *) * 4);
-  return Bytes;
-}
-
 uint64_t AbsInterp::numAnswers() const {
   uint64_t N = 0;
-  for (const Entry *E : Order)
-    N += E->Answers.size();
+  for (const Entry &E : Entries)
+    N += E.Answers.size(0);
   return N;
 }
 
 void AbsInterp::snapshotMetrics(MetricsRegistry &M) const {
   M.resetTableSnapshot();
-  for (const Entry *E : Order) {
-    PredMetrics &PM = M.pred(Symbols, E->Pred.Sym, E->Pred.Arity);
+  for (const Entry &E : Entries) {
+    PredMetrics &PM = M.pred(Symbols, E.Pred.Sym, E.Pred.Arity);
     ++PM.TableSubgoals;
-    PM.TableAnswers += E->Answers.size();
-    PM.AnswersPerSubgoal.record(E->Answers.size());
-    size_t Bytes = sizeof(Entry) + E->Key.capacity();
-    Bytes += E->Answers.capacity() * sizeof(TermRef);
-    for (const auto &K : E->AnswerKeys)
-      Bytes += K.capacity() + sizeof(void *) * 2;
-    Bytes += E->Dependents.size() * sizeof(void *) * 2;
-    Bytes += Tables.termBytes(E->CallTuple);
-    for (TermRef Ans : E->Answers)
-      Bytes += Tables.termBytes(Ans);
-    PM.TableBytes += Bytes;
+    PM.TableAnswers += E.Answers.size(0);
+    PM.AnswersPerSubgoal.record(E.Answers.size(0));
+    PM.TableBytes +=
+        entryBytes(E) + Calls.code(0, E.Ordinal).size_bytes();
   }
 }
 
@@ -600,7 +608,7 @@ ErrorOr<DepthKResult> DepthKAnalyzer::analyze(std::string_view Source) {
   //--- Collection. ---------------------------------------------------------
   Phase.restart();
   EvalObserver::Span CollectSpan(Obs, "collect");
-  Result.TableSpaceBytes = Interp.tableSpaceBytes();
+  Result.TableSpaceBytes = Interp.TableBytes;
   Result.NumCallPatterns = Interp.entries().size();
   Result.NumAnswers = Interp.numAnswers();
   Result.FixpointRounds = Interp.ProducerRuns;
@@ -618,13 +626,11 @@ ErrorOr<DepthKResult> DepthKAnalyzer::analyze(std::string_view Source) {
     Opts.Metrics->setCounter("fixpoint_rounds", Result.FixpointRounds);
     Opts.Metrics->setCounter("widenings", Result.Widenings);
     Opts.Metrics->setCounter("table_space_bytes", Result.TableSpaceBytes);
-    // Depth-k tables only grow (no completion-time release), so the final
-    // footprint is the lifetime peak.
     Opts.Metrics->noteWatermark("peak_table_space_bytes",
-                                Result.TableSpaceBytes);
+                                Interp.PeakTableBytes);
   }
 
-  const TermStore &TS = Interp.tableStore();
+  TermStore TS;
   for (PredKey Pred : DB.predicates()) {
     DepthKPred Out;
     Out.Name = Symbols.name(Pred.Sym);
@@ -634,24 +640,23 @@ ErrorOr<DepthKResult> DepthKAnalyzer::analyze(std::string_view Source) {
     const AbsInterp::Entry *E = Interp.openEntry(Pred);
     if (E) {
       AbstractDomain Dom(Symbols, Opts.Depth);
-      for (TermRef Ans : E->Answers) {
-        Out.AnswerPatterns.push_back(
-            TermWriter::toString(Symbols, TS, Ans));
-        TermRef A = TS.deref(Ans);
+      for (size_t J = 0; J < E->Answers.size(0); ++J) {
+        TermRef A = TS.deref(Interp.answerPattern(*E, J, TS));
+        Out.AnswerPatterns.push_back(TermWriter::toString(Symbols, TS, A));
         for (uint32_t I = 0; I < Pred.Arity; ++I)
           if (!Dom.isGroundAbstract(TS, TS.arg(A, I)))
             Out.GroundOnSuccess[I] = 0;
       }
-      Out.CanSucceed = !E->Answers.empty();
+      Out.CanSucceed = E->Answers.size(0) > 0;
     }
     if (!Out.CanSucceed)
       Out.GroundOnSuccess.assign(Pred.Arity, 0);
 
     // All call patterns of this predicate.
-    for (const AbsInterp::Entry *CE : Interp.entries())
-      if (CE->Pred == Pred)
-        Out.CallPatterns.push_back(
-            TermWriter::toString(Symbols, TS, CE->CallTuple));
+    for (const AbsInterp::Entry &CE : Interp.entries())
+      if (CE.Pred == Pred)
+        Out.CallPatterns.push_back(TermWriter::toString(
+            Symbols, TS, Interp.callPattern(CE, TS)));
 
     Result.Predicates.push_back(std::move(Out));
   }
@@ -698,23 +703,24 @@ ErrorOr<std::string> DepthKAnalyzer::explain(std::string_view Source,
   const AbsInterp::Entry *E = Interp.openEntry(Target);
   const std::string Name =
       std::string(Pred) + "/" + std::to_string(Arity);
-  if (!E || E->Answers.empty())
+  if (!E || E->Answers.size(0) == 0)
     return Diagnostic("explain: " + Name + " has no answer pattern — it "
                       "cannot succeed, so groundness holds vacuously");
 
   // Witness: the first open-call answer pattern whose Arg is abstractly
   // ground (arity 0 takes answer 0; "ground" is then trivial success).
-  const TermStore &TS = Interp.tableStore();
+  TermStore TS;
   AbstractDomain Dom(Symbols, Opts.Depth);
-  size_t Witness = E->Answers.size();
-  for (size_t I = 0; I < E->Answers.size(); ++I) {
-    TermRef A = TS.deref(E->Answers[I]);
+  size_t NumAnswers = E->Answers.size(0);
+  size_t Witness = NumAnswers;
+  for (size_t I = 0; I < NumAnswers; ++I) {
+    TermRef A = TS.deref(Interp.answerPattern(*E, I, TS));
     if (Arity == 0 || Dom.isGroundAbstract(TS, TS.arg(A, Arg))) {
       Witness = I;
       break;
     }
   }
-  if (Witness == E->Answers.size())
+  if (Witness == NumAnswers)
     return Diagnostic("explain: no answer pattern of " + Name +
                       " grounds argument " + std::to_string(Arg + 1));
 
@@ -725,16 +731,17 @@ ErrorOr<std::string> DepthKAnalyzer::explain(std::string_view Source,
   auto Label = [&](const ProofNode &N) {
     if (N.SubgoalIdx >= Entries.size())
       return std::string("<unknown entry>");
-    const AbsInterp::Entry &G = *Entries[N.SubgoalIdx];
-    if (N.AnswerIdx >= G.Answers.size())
-      return TermWriter::toString(Symbols, TS, G.CallTuple) +
+    const AbsInterp::Entry &G = Entries[N.SubgoalIdx];
+    if (N.AnswerIdx >= G.Answers.size(0))
+      return TermWriter::toString(Symbols, TS, Interp.callPattern(G, TS)) +
              " (folded answer)";
-    return TermWriter::toString(Symbols, TS, G.Answers[N.AnswerIdx]);
+    return TermWriter::toString(Symbols, TS,
+                                Interp.answerPattern(G, N.AnswerIdx, TS));
   };
   auto ClauseLabel = [&](const ProofNode &N) {
     if (N.SubgoalIdx >= Entries.size())
       return std::string();
-    const AbsInterp::Entry &G = *Entries[N.SubgoalIdx];
+    const AbsInterp::Entry &G = Entries[N.SubgoalIdx];
     return "clause " + std::to_string(N.ClauseIdx + 1) + " of " +
            Symbols.name(G.Pred.Sym) + "/" + std::to_string(G.Pred.Arity);
   };
@@ -745,7 +752,7 @@ ErrorOr<std::string> DepthKAnalyzer::explain(std::string_view Source,
            " (depth-" + std::to_string(Opts.Depth) + " abstraction)";
   Out += " on success (witness: answer pattern " +
          std::to_string(Witness + 1) + " of " +
-         std::to_string(E->Answers.size()) + "):\n";
+         std::to_string(NumAnswers) + "):\n";
   Out += renderProofTree(Tree, Label, ClauseLabel);
   return Out;
 }

@@ -643,7 +643,6 @@ void Solver::runParallelPrime(const std::vector<TermRef> &Seeds) {
     WO.RecordProvenance = false;
     auto WS = std::make_unique<Solver>(DB, WO);
     WS->Shared = &Space;
-    WS->SharedWorkerId = static_cast<uint32_t>(I);
     WS->AnswerJoins = AnswerJoins;
     WS->Query = Query; // Deadlines bound workers exactly like the lead.
     if (Obs && I < Obs->WorkerCursors.size()) {
@@ -1744,7 +1743,7 @@ Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
   // span workers, so nobody ever waits.
   if (Shared) {
     SharedTableSpace::Outcome O =
-        Shared->claim(Heap, Goal, Key.Sym, Key.Arity, SharedWorkerId);
+        Shared->claim(Heap, Goal, Key.Sym, Key.Arity);
     if (O.H == SharedTableSpace::Hit::Published) {
       ++Stats.SharedWarmImports;
       SG.Dfn = SG.MinLink = ++DfnCounter;

@@ -997,8 +997,6 @@ private:
   /// worker solvers during a parallel phase (the lead owns the space on
   /// its stack for the phase's duration).
   SharedTableSpace *Shared = nullptr;
-  /// This worker's id in the shared space (claim ownership attribution).
-  uint32_t SharedWorkerId = 0;
   /// Reentrancy guard: primeTables never re-enters its own parallel phase
   /// (and worker solvers never spawn sub-pools — their EvalWorkers is 0).
   bool Priming = false;

@@ -44,9 +44,9 @@ const char *lpa::frEventKindName(FrEventKind K) {
 }
 
 FlightRecorder::FlightRecorder(Options O)
-    : Opts(std::move(O)), Epoch(std::chrono::steady_clock::now()) {
-  if (Opts.Capacity)
-    Events.reserve(Opts.Capacity);
+    : Opts(std::move(O)), Events(Opts.Capacity),
+      Epoch(std::chrono::steady_clock::now()) {
+  Events.reserve();
 }
 
 void FlightRecorder::record(FrEventKind K, uint64_t QueryId, uint64_t A,
@@ -66,32 +66,7 @@ void FlightRecorder::record(FrEventKind K, uint64_t QueryId, uint64_t A,
   E.Detail[N] = '\0';
   if (K == FrEventKind::DeadlineHit || K == FrEventKind::IncompleteTable)
     Alarms.fetch_add(1, std::memory_order_relaxed);
-  ++Total;
-  if (!Opts.Capacity || Events.size() < Opts.Capacity) {
-    Events.push_back(E);
-    return;
-  }
-  // Keep-last ring: overwrite the oldest slot and count the eviction —
-  // the same discipline RecordingSink's bounded mode uses.
-  Events[Head] = E;
-  Head = (Head + 1) % Events.size();
-  ++Dropped;
-}
-
-const std::vector<FrEvent> &FlightRecorder::events() const {
-  if (Head) {
-    std::rotate(Events.begin(), Events.begin() + Head, Events.end());
-    Head = 0;
-  }
-  return Events;
-}
-
-size_t FlightRecorder::count(FrEventKind K) const {
-  size_t N = 0;
-  for (const FrEvent &E : Events)
-    if (E.Kind == K)
-      ++N;
-  return N;
+  Events.push(E);
 }
 
 std::vector<FrEvent> FlightRecorder::eventsForQuery(uint64_t QueryId) const {
@@ -102,12 +77,7 @@ std::vector<FrEvent> FlightRecorder::eventsForQuery(uint64_t QueryId) const {
   return Out;
 }
 
-void FlightRecorder::clear() {
-  Events.clear();
-  Head = 0;
-  Dropped = 0;
-  Total = 0;
-}
+void FlightRecorder::clear() { Events.clear(); }
 
 //===----------------------------------------------------------------------===//
 // Async-signal-safe raw dump
@@ -163,17 +133,16 @@ struct RawWriter {
 void FlightRecorder::writeRawTo(int Fd) const {
   RawWriter W(Fd);
   W.str("# lpa flight recorder: total=");
-  W.u64(Total);
+  W.u64(totalRecorded());
   W.str(" dropped=");
-  W.u64(Dropped);
+  W.u64(droppedCount());
   W.str(" kept=");
   W.u64(Events.size());
   W.ch('\n');
-  // Walk the ring in storage order starting at Head — no rotation, no
-  // mutation: this may run from a signal handler.
-  size_t N = Events.size();
-  for (size_t I = 0; I < N; ++I) {
-    const FrEvent &E = Events[(Head + I) % N];
+  // Walk the ring in place — no rotation, no mutation: this may run from
+  // a signal handler.
+  for (size_t I = 0; I < Events.size(); ++I) {
+    const FrEvent &E = Events[I];
     W.u64(E.TimeNs);
     W.str(" q");
     W.u64(E.QueryId);
@@ -316,8 +285,8 @@ void FlightRecorder::writeJson(JsonWriter &W, size_t MaxEvents) const {
                                                     : 0;
   W.beginObject();
   W.member("capacity", static_cast<uint64_t>(Opts.Capacity));
-  W.member("total", Total);
-  W.member("dropped", Dropped);
+  W.member("total", totalRecorded());
+  W.member("dropped", droppedCount());
   W.member("dumps", Dumps);
   W.key("events");
   W.beginArray();

@@ -17,8 +17,8 @@
 /// attached for a month-long daemon uptime at a constant footprint. The
 /// engine reaches it through its observer (EvalObserver).
 ///
-/// The ring mirrors RecordingSink's bounded mode exactly: keep-last
-/// semantics, every eviction counted, so
+/// The ring is a KeepLastRing, as in RecordingSink's bounded mode: every
+/// eviction counted, so
 ///   droppedCount() + events().size() == totalRecorded().
 ///
 /// Anomaly dumps: dump() writes the ring plus caller-supplied gauges and
@@ -34,6 +34,8 @@
 
 #ifndef LPA_OBS_FLIGHTRECORDER_H
 #define LPA_OBS_FLIGHTRECORDER_H
+
+#include "support/KeepLastRing.h"
 
 #include <atomic>
 #include <chrono>
@@ -120,7 +122,7 @@ public:
 
   /// Kept events in arrival order (oldest first). Linearizes the ring in
   /// place when it has wrapped, exactly like RecordingSink::events().
-  const std::vector<FrEvent> &events() const;
+  const std::vector<FrEvent> &events() const { return Events.linear(); }
 
   /// \name Anomaly alarms — deadline-at-risk and incomplete-taint events.
   /// The counter is atomic so the Sampler thread can watch it lock-free
@@ -134,11 +136,13 @@ public:
   /// @}
 
   /// Events evicted by the ring; 0 while it has never filled.
-  uint64_t droppedCount() const { return Dropped; }
+  uint64_t droppedCount() const { return Events.evicted(); }
   /// Every event ever recorded: droppedCount() + events().size().
-  uint64_t totalRecorded() const { return Total; }
+  uint64_t totalRecorded() const { return Events.evicted() + Events.size(); }
   /// Kept events of kind \p K.
-  size_t count(FrEventKind K) const;
+  size_t count(FrEventKind K) const {
+    return Events.countIf([K](const FrEvent &E) { return E.Kind == K; });
+  }
   /// Kept events belonging to query \p QueryId, oldest first.
   std::vector<FrEvent> eventsForQuery(uint64_t QueryId) const;
 
@@ -197,13 +201,7 @@ public:
 
 private:
   Options Opts;
-  /// Ring storage, RecordingSink discipline: until the first wrap arrival
-  /// order equals storage order; after it, Head marks the oldest kept
-  /// event and events() rotates on demand.
-  mutable std::vector<FrEvent> Events;
-  mutable size_t Head = 0;
-  uint64_t Dropped = 0;
-  uint64_t Total = 0;
+  KeepLastRing<FrEvent> Events;
   uint64_t Dumps = 0;
   std::atomic<uint64_t> Alarms{0};
   std::chrono::steady_clock::time_point Epoch;

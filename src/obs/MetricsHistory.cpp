@@ -21,21 +21,18 @@ using namespace lpa;
 
 MetricsHistory::MetricsHistory() : MetricsHistory(Options{}) {}
 
-MetricsHistory::MetricsHistory(Options O) : Opts(O) {
-  if (!Opts.Capacity)
-    Opts.Capacity = 1;
-  Ring.reserve(Opts.Capacity);
-}
+MetricsHistory::MetricsHistory(Options O)
+    : Opts(O), Ring(std::max<size_t>(O.Capacity, 1)) {}
 
 uint32_t MetricsHistory::addSeries(std::string_view Name, bool Counter) {
-  if (!Ring.empty())
+  if (Ring.size())
     clear(); // Keep rows aligned with the series list.
   Defs.push_back({std::string(Name), Counter});
   return static_cast<uint32_t>(Defs.size() - 1);
 }
 
 bool MetricsHistory::due(uint64_t NowNs) const {
-  if (!Total)
+  if (!totalSamples())
     return true;
   return NowNs - LastSampleNs >= Opts.IntervalMs * 1000000ull;
 }
@@ -46,20 +43,7 @@ void MetricsHistory::sample(uint64_t NowNs, std::span<const uint64_t> Values) {
   S.Values.assign(Values.begin(), Values.end());
   S.Values.resize(Defs.size()); // Short rows pad with zeros.
   LastSampleNs = NowNs;
-  ++Total;
-  if (Ring.size() < Opts.Capacity) {
-    Ring.push_back(std::move(S));
-    return;
-  }
-  // Keep-last ring: overwrite the oldest slot and count the eviction (the
-  // FlightRecorder discipline).
-  Ring[Head] = std::move(S);
-  Head = (Head + 1) % Ring.size();
-  ++Evicted;
-}
-
-const MetricsHistory::Snapshot &MetricsHistory::at(size_t I) const {
-  return Ring[(Head + I) % Ring.size()];
+  Ring.push(std::move(S));
 }
 
 std::vector<uint64_t> MetricsHistory::seriesValues(uint32_t Idx) const {
@@ -88,18 +72,15 @@ std::vector<uint64_t> MetricsHistory::seriesTrend(uint32_t Idx) const {
 
 void MetricsHistory::clear() {
   Ring.clear();
-  Head = 0;
   LastSampleNs = 0;
-  Evicted = 0;
-  Total = 0;
 }
 
 void MetricsHistory::writeJson(JsonWriter &W, size_t MaxSamples) const {
   W.beginObject();
   W.member("interval_ms", Opts.IntervalMs);
-  W.member("capacity", static_cast<uint64_t>(Opts.Capacity));
-  W.member("evicted", Evicted);
-  W.member("total", Total);
+  W.member("capacity", static_cast<uint64_t>(capacity()));
+  W.member("evicted", evicted());
+  W.member("total", totalSamples());
   W.key("series");
   W.beginArray();
   for (const Series &S : Defs)

@@ -12,8 +12,8 @@
 ///   snapshots. The daemon samples it opportunistically (time-checked per
 ///   protocol request — no extra thread), so trends survive between
 ///   scrapes and `lpa_top --watch` can render sparkline columns from the
-///   ring instead of remembering state client-side. Eviction follows the
-///   FlightRecorder discipline: overwrite the oldest slot, count it.
+///   ring instead of remembering state client-side. Eviction is the
+///   FlightRecorder's (KeepLastRing): overwrite the oldest slot, count it.
 ///
 /// - PrometheusWriter: renders current values in the Prometheus text
 ///   exposition format (# HELP / # TYPE, counter/gauge/histogram with
@@ -26,6 +26,8 @@
 
 #ifndef LPA_OBS_METRICSHISTORY_H
 #define LPA_OBS_METRICSHISTORY_H
+
+#include "support/KeepLastRing.h"
 
 #include <cstdint>
 #include <span>
@@ -77,13 +79,13 @@ public:
   void sample(uint64_t NowNs, std::span<const uint64_t> Values);
 
   size_t size() const { return Ring.size(); }
-  size_t capacity() const { return Opts.Capacity; }
+  size_t capacity() const { return Ring.capacity(); }
   uint64_t intervalMs() const { return Opts.IntervalMs; }
-  uint64_t evicted() const { return Evicted; }
-  uint64_t totalSamples() const { return Total; }
+  uint64_t evicted() const { return Ring.evicted(); }
+  uint64_t totalSamples() const { return Ring.evicted() + Ring.size(); }
 
   /// Snapshot \p I in time order (0 = oldest surviving).
-  const Snapshot &at(size_t I) const;
+  const Snapshot &at(size_t I) const { return Ring[I]; }
 
   /// Values of series \p Idx, oldest to newest. For counter series the
   /// second form returns per-interval deltas (size() - 1 entries; clamped
@@ -101,11 +103,8 @@ public:
 private:
   Options Opts;
   std::vector<Series> Defs;
-  std::vector<Snapshot> Ring;
-  size_t Head = 0; ///< Oldest slot once the ring wrapped.
+  KeepLastRing<Snapshot> Ring;
   uint64_t LastSampleNs = 0;
-  uint64_t Evicted = 0;
-  uint64_t Total = 0;
 };
 
 /// Streaming Prometheus text-exposition writer. Each metric family gets

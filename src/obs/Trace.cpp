@@ -9,7 +9,6 @@
 
 #include "obs/Json.h"
 
-#include <algorithm>
 #include <cstdio>
 
 using namespace lpa;
@@ -35,33 +34,11 @@ void RecordingSink::event(const TraceEvent &E) {
 #if LPA_TRACE_ASSERTS
   // Self-check: time must be monotone within one recording. The ring can
   // evict the previous event, so track the last arrival separately.
-  assert((Dropped == 0 && Events.empty() ? true : LastTimeNs <= E.TimeNs) &&
+  assert((Events.size() == 0 || LastTimeNs <= E.TimeNs) &&
          "trace events out of time order");
   LastTimeNs = E.TimeNs;
 #endif
-  if (Opts.MaxEvents == 0 || Events.size() < Opts.MaxEvents) {
-    Events.push_back(E);
-    return;
-  }
-  // Keep-last ring: overwrite the oldest slot and advance the head.
-  Events[Head] = E;
-  Head = (Head + 1) % Opts.MaxEvents;
-  ++Dropped;
-}
-
-const std::vector<TraceEvent> &RecordingSink::events() const {
-  if (Head != 0) {
-    std::rotate(Events.begin(), Events.begin() + static_cast<ptrdiff_t>(Head),
-                Events.end());
-    Head = 0;
-  }
-  return Events;
-}
-
-size_t RecordingSink::count(TraceEventKind K) const {
-  return static_cast<size_t>(
-      std::count_if(Events.begin(), Events.end(),
-                    [K](const TraceEvent &E) { return E.Kind == K; }));
+  Events.push(E);
 }
 
 void PrintSink::event(const TraceEvent &E) {

@@ -21,6 +21,7 @@
 #ifndef LPA_OBS_TRACE_H
 #define LPA_OBS_TRACE_H
 
+#include "support/KeepLastRing.h"
 #include "term/Symbol.h"
 
 #include <cassert>
@@ -161,40 +162,32 @@ struct TraceOptions {
 
 /// Buffers events in memory, for tests, post-hoc analysis, and the Chrome
 /// trace exporter. Optionally bounded (TraceOptions::MaxEvents) with
-/// keep-last semantics: once full, the oldest event is evicted for each
-/// new arrival and the eviction is counted, so
+/// keep-last semantics (KeepLastRing), so
 ///   droppedCount() + events().size() == total events ever received.
 class RecordingSink : public TraceSink {
 public:
   RecordingSink() = default;
-  explicit RecordingSink(TraceOptions O) : Opts(O) {}
+  explicit RecordingSink(TraceOptions O) : Opts(O), Events(O.MaxEvents) {}
 
   void event(const TraceEvent &E) override;
 
   /// Buffered events in arrival order (in bounded mode: the kept window,
   /// oldest first). Linearizes the ring in place when it has wrapped.
-  const std::vector<TraceEvent> &events() const;
-  void clear() {
-    Events.clear();
-    Head = 0;
-    Dropped = 0;
-  }
+  const std::vector<TraceEvent> &events() const { return Events.linear(); }
+  void clear() { Events.clear(); }
 
   /// Events evicted by the bounded ring; 0 in unbounded mode.
-  uint64_t droppedCount() const { return Dropped; }
+  uint64_t droppedCount() const { return Events.evicted(); }
   const TraceOptions &options() const { return Opts; }
 
   /// Number of buffered events of \p K (kept window only).
-  size_t count(TraceEventKind K) const;
+  size_t count(TraceEventKind K) const {
+    return Events.countIf([K](const TraceEvent &E) { return E.Kind == K; });
+  }
 
 private:
   TraceOptions Opts;
-  /// Ring storage. Until the first wrap, arrival order equals storage
-  /// order; after a wrap, Head marks the oldest kept event and events()
-  /// rotates the buffer back into arrival order on demand.
-  mutable std::vector<TraceEvent> Events;
-  mutable size_t Head = 0;
-  uint64_t Dropped = 0;
+  KeepLastRing<TraceEvent> Events;
 #if LPA_TRACE_ASSERTS
   uint64_t LastTimeNs = 0;
 #endif

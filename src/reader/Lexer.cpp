@@ -8,6 +8,7 @@
 #include "reader/Lexer.h"
 
 #include <cctype>
+#include <charconv>
 
 using namespace lpa;
 
@@ -139,8 +140,12 @@ Token Lexer::next() {
       }
       T.IntValue = static_cast<unsigned char>(Code);
       T.Text = std::to_string(T.IntValue);
+    } else if (std::from_chars(Digits.data(), Digits.data() + Digits.size(),
+                               T.IntValue)
+                   .ec != std::errc()) {
+      T.Kind = TokenKind::Error;
+      T.Text = "integer literal out of range";
     } else {
-      T.IntValue = std::stoll(Digits);
       T.Text = std::move(Digits);
     }
   } else if (C == '_' || std::isupper(static_cast<unsigned char>(C))) {

@@ -91,8 +91,7 @@ std::unique_lock<std::mutex> SharedTableSpace::lockShard(Shard &S) {
 
 SharedTableSpace::Outcome SharedTableSpace::claim(const TermStore &Store,
                                                   TermRef Call, SymbolId Sym,
-                                                  uint32_t Arity,
-                                                  uint32_t Worker) {
+                                                  uint32_t Arity) {
   Shard &S = shardFor(Store, Call, Sym, Arity);
   S.Lookups.fetch_add(1, std::memory_order_relaxed);
   std::unique_lock<std::mutex> L = lockShard(S);
@@ -103,7 +102,6 @@ SharedTableSpace::Outcome SharedTableSpace::claim(const TermStore &Store,
   // under the current program. A retired table stays alive in OwnedTables
   // -- a worker may still be reading it.
   if (R.Inserted || St == 2) {
-    E.Owner = Worker;
     E.Sym = Sym;
     E.Arity = Arity;
     E.State.store(0, std::memory_order_release);

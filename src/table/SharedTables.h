@@ -99,9 +99,8 @@ public:
     friend class SharedTableSpace;
     /// 0 = in flight, 1 = published, 2 = retired by invalidation.
     std::atomic<uint32_t> State{0};
-    /// Owner and predicate identity, stamped under the shard lock at
-    /// claim; invalidatePred() scans for the predicate under the same lock.
-    uint32_t Owner = 0;
+    /// Predicate identity, stamped under the shard lock at claim;
+    /// invalidatePred() scans for the predicate under the same lock.
     SymbolId Sym = 0;
     uint32_t Arity = 0;
     /// Non-owning: the space's OwnedTables list keeps every table alive
@@ -127,10 +126,10 @@ public:
   SharedTableSpace &operator=(const SharedTableSpace &) = delete;
 
   /// Looks up the call variant \p Call (pred \p Sym / \p Arity) under
-  /// its shard's lock and claims it for \p Worker if it is new or
+  /// its shard's lock and claims it for the caller if it is new or
   /// retired.
   Outcome claim(const TermStore &Store, TermRef Call, SymbolId Sym,
-                uint32_t Arity, uint32_t Worker);
+                uint32_t Arity);
 
   /// Publishes \p T as the completed table of the entry claimed earlier.
   /// Release store: after this, any claim() returning Published for the

@@ -8,7 +8,7 @@
 /// \file
 /// The one table data format. A variant code is a tuple of terms (its
 /// *roots*) flattened to one word string: each root's preorder token
-/// sequence, the one canonicalKey() encodes, one after the other, with
+/// sequence, the one canonicalKey encodes, one after the other, with
 /// variables numbered by first occurrence across all the roots. Two tuples
 /// have equal codes iff they are equally long and wrapping each in one
 /// struct gives variants, so sharing between roots counts: (X, f(X)) and
@@ -26,10 +26,12 @@
 /// the resolved terms as trees.
 ///
 /// VariantCodeStore keeps such codes deduplicated in numbered levels, and
-/// every variant set of the engine is one (DESIGN.md §9): the subgoal
-/// index, each factored table's answer dedup, the shared table space's
-/// shard indexes, the states of a supplementary frontier or of a depth-k
-/// clause body, and the calls and solutions of static goals (§19).
+/// every variant set of the engine and of the depth-k interpreter is one
+/// (DESIGN.md §9): the subgoal index, each factored table's answer dedup,
+/// the shared table space's shard indexes, the depth-k call patterns (a
+/// call's position is its entry's ordinal) and each depth-k entry's answer
+/// patterns, the states of a supplementary frontier or of a depth-k clause
+/// body, and the calls and solutions of static goals (§19).
 ///
 //===----------------------------------------------------------------------===//
 

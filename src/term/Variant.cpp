@@ -67,7 +67,7 @@ bool lpa::isVariant(const TermStore &Store, TermRef A, TermRef B) {
 
 namespace {
 
-/// Scratch of one thread's appendCanonicalKey calls, which never re-enter:
+/// Scratch of one thread's canonicalKey calls, which never re-enter:
 /// once warm, encoding a key allocates nothing beyond the key itself.
 struct KeyScratch {
   std::vector<TermRef> Work;
@@ -85,8 +85,8 @@ template <typename T> void appendBytes(std::string &Out, T V) {
 
 } // namespace
 
-void lpa::appendCanonicalKey(const TermStore &Store, TermRef T,
-                             std::string &Out) {
+std::string lpa::canonicalKey(const TermStore &Store, TermRef T) {
+  std::string Out;
   KeyScratch &S = Scratch;
   S.VarNum.clear();
   S.Work.assign(1, T);
@@ -119,11 +119,6 @@ void lpa::appendCanonicalKey(const TermStore &Store, TermRef T,
       break;
     }
   }
-}
-
-std::string lpa::canonicalKey(const TermStore &Store, TermRef T) {
-  std::string Out;
-  appendCanonicalKey(Store, T, Out);
   return Out;
 }
 

@@ -8,10 +8,12 @@
 /// \file
 /// Variant checking is the heart of XSB-style tabling: a tabled subgoal hits
 /// the table when a *variant* of it (identical up to variable renaming) was
-/// called before, and only non-variant answers are entered. We implement
-/// both a direct two-term check and a canonical byte-string encoding whose
-/// equality coincides with variance, used as the hash key of subgoal and
-/// answer tables.
+/// called before, and only non-variant answers are entered. The tables
+/// themselves test variance by variant code (table/VariantCode.h); this
+/// file holds a direct two-term check and a canonical byte-string encoding
+/// whose equality coincides with variance. No table keys by that string:
+/// it is the reference the variant and table tests compare codes against,
+/// and the yardstick of the BM_CanonicalKey micro-benchmark.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,9 +34,6 @@ bool isVariant(const TermStore &Store, TermRef A, TermRef B);
 /// iff they are variants. Variables are numbered in order of first
 /// occurrence (left-to-right, depth-first).
 std::string canonicalKey(const TermStore &Store, TermRef T);
-
-/// As canonicalKey, but appends to \p Out (avoids reallocation in loops).
-void appendCanonicalKey(const TermStore &Store, TermRef T, std::string &Out);
 
 /// Collects the distinct unbound variables of \p T into \p Vars in
 /// first-occurrence order (left-to-right, depth-first) -- the same order

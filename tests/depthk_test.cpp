@@ -432,4 +432,80 @@ TEST_F(DepthKTest, LongClauseBody) {
   EXPECT_EQ(R.NumCallPatterns, 4u);
 }
 
+//===----------------------------------------------------------------------===//
+// Widenings
+//===----------------------------------------------------------------------===//
+
+/// The value of the named counter or watermark in \p Items, or ~0.
+uint64_t lookup(const std::vector<std::pair<std::string, uint64_t>> &Items,
+                const std::string &Name) {
+  for (const auto &[N, V] : Items)
+    if (N == Name)
+      return V;
+  return ~uint64_t(0);
+}
+
+TEST_F(DepthKTest, CallWideningServesFromTheOpenEntry) {
+  const char *Prog = R"(
+    main(Y, Z) :- helper(a, Y), helper(b, Z).
+    helper(X, X).
+  )";
+  SymbolTable Syms;
+  DepthKAnalyzer::Options Opts;
+  Opts.MaxCallsPerPred = 1;
+  DepthKAnalyzer A(Syms, Opts);
+  auto R = A.analyze(Prog);
+  ASSERT_TRUE(R.hasValue()) << R.getError().str();
+  // helper(a,_) takes the one closed pattern; helper(b,_) is widened to
+  // the open call, which it creates, and takes no position of its own.
+  const DepthKPred *H = R->find("helper", 2);
+  ASSERT_NE(H, nullptr);
+  EXPECT_EQ(H->CallPatterns,
+            (std::vector<std::string>{"helper(a,_A)", "helper(_A,_B)"}));
+  EXPECT_EQ(R->NumCallPatterns, 3u);
+  // The open entry's answer helper(_A,_A) still binds Z to b.
+  const DepthKPred *M = R->find("main", 2);
+  ASSERT_NE(M, nullptr);
+  EXPECT_EQ(M->AnswerPatterns, (std::vector<std::string>{"main(a,b)"}));
+
+  // Unwidened, the second call pattern gets its own entry.
+  auto Plain = analyze(Prog);
+  EXPECT_EQ(Plain.find("helper", 2)->CallPatterns,
+            (std::vector<std::string>{"helper(a,_A)", "helper(b,_A)",
+                                      "helper(_A,_B)"}));
+}
+
+TEST_F(DepthKTest, AnswerWideningFoldsToTheLgg) {
+  SymbolTable Syms;
+  MetricsRegistry M;
+  DepthKAnalyzer::Options Opts;
+  Opts.MaxAnswersPerCall = 2;
+  Opts.Metrics = &M;
+  DepthKAnalyzer A(Syms, Opts);
+  // The third answer folds the set to its lgg; the fourth is an instance
+  // of the fold, so it is a duplicate.
+  auto R = A.analyze("p(a, f(a)). p(b, f(b)). p(c, f(c)). p(d, f(d)).");
+  ASSERT_TRUE(R.hasValue()) << R.getError().str();
+  const DepthKPred *P = R->find("p", 2);
+  ASSERT_NE(P, nullptr);
+  EXPECT_EQ(P->AnswerPatterns,
+            (std::vector<std::string>{"p('$gamma',f('$gamma'))"}));
+  EXPECT_EQ(P->GroundOnSuccess, (std::vector<uint8_t>{1, 1}));
+  EXPECT_EQ(R->Widenings, 1u);
+  EXPECT_EQ(R->NumAnswers, 1u);
+  const PredMetrics *PM = nullptr;
+  for (const PredMetrics *X : M.predicates())
+    if (X->Name == "p" && X->Arity == 2)
+      PM = X;
+  ASSERT_NE(PM, nullptr);
+  EXPECT_EQ(PM->NewAnswers, 3u);
+  EXPECT_EQ(PM->DupAnswers, 1u);
+
+  // The fold freed the old answer set, so the tables shrank; the peak
+  // keeps what they held before.
+  uint64_t Final = lookup(M.counters(), "table_space_bytes");
+  EXPECT_EQ(Final, R->TableSpaceBytes);
+  EXPECT_GT(lookup(M.watermarks(), "peak_table_space_bytes"), Final);
+}
+
 } // namespace

@@ -578,13 +578,13 @@ TEST(SharedSpaceRetireTest, RetireHidesReclaimRepublishes) {
   ASSERT_TRUE(Call.hasValue());
   SymbolId PSym = Syms.intern("p");
 
-  auto O1 = Space.claim(Store, *Call, PSym, 1, /*Worker=*/0);
+  auto O1 = Space.claim(Store, *Call, PSym, 1);
   ASSERT_EQ(O1.H, SharedTableSpace::Hit::Claimed);
   auto T = std::make_unique<SharedTableSpace::PublishedTable>();
   T->NumAnswers = 7;
   Space.publish(*O1.E, std::move(T));
 
-  auto O2 = Space.claim(Store, *Call, PSym, 1, 1);
+  auto O2 = Space.claim(Store, *Call, PSym, 1);
   ASSERT_EQ(O2.H, SharedTableSpace::Hit::Published);
   const SharedTableSpace::PublishedTable *Old = Space.published(*O2.E);
   ASSERT_NE(Old, nullptr);
@@ -603,13 +603,13 @@ TEST(SharedSpaceRetireTest, RetireHidesReclaimRepublishes) {
   EXPECT_EQ(Old->NumAnswers, 7u);
 
   // The next claim re-owns the variant and can republish.
-  auto O3 = Space.claim(Store, *Call, PSym, 1, 2);
+  auto O3 = Space.claim(Store, *Call, PSym, 1);
   ASSERT_EQ(O3.H, SharedTableSpace::Hit::Claimed);
   EXPECT_EQ(O3.E, O2.E);
   auto T2 = std::make_unique<SharedTableSpace::PublishedTable>();
   T2->NumAnswers = 9;
   Space.publish(*O3.E, std::move(T2));
-  auto O4 = Space.claim(Store, *Call, PSym, 1, 3);
+  auto O4 = Space.claim(Store, *Call, PSym, 1);
   ASSERT_EQ(O4.H, SharedTableSpace::Hit::Published);
   EXPECT_EQ(Space.published(*O4.E)->NumAnswers, 9u);
   EXPECT_EQ(Old->NumAnswers, 7u); // Still alive, still the old data.
@@ -626,7 +626,7 @@ TEST(SharedSpaceRetireTest, OnlyTheNamedPredicateRetires) {
     auto Call = Parser::parseTerm(Syms, Store, G);
     ASSERT_TRUE(Call.hasValue());
     SymbolId Sym = G[0] == 'p' ? P : Q;
-    auto O = Space.claim(Store, *Call, Sym, 1, 0);
+    auto O = Space.claim(Store, *Call, Sym, 1);
     ASSERT_EQ(O.H, SharedTableSpace::Hit::Claimed);
     Space.publish(*O.E, std::make_unique<SharedTableSpace::PublishedTable>());
   }
@@ -667,7 +667,7 @@ TEST(SharedSpaceRetireTest, ConcurrentRetireHammer) {
     }
     for (int R = 0; R < Rounds; ++R) {
       size_t P = (W + R) % NumPreds;
-      auto O = Space.claim(Store, Calls[P], PredSyms[P], 1, uint32_t(W));
+      auto O = Space.claim(Store, Calls[P], PredSyms[P], 1);
       if (O.H == SharedTableSpace::Hit::Claimed) {
         auto T = std::make_unique<SharedTableSpace::PublishedTable>();
         T->Sym = PredSyms[P];

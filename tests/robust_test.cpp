@@ -4,10 +4,11 @@
 // Using General Purpose Logic Programming Systems" (PLDI 1996).
 //
 // Input that arrives over the protocol may be arbitrarily deep. The reader
-// rejects nesting beyond Parser::MaxNesting with an error response, and the
-// daemon stays alive to answer the next request. When something does
-// overflow the stack, the flight recorder's fatal-signal handler still runs
-// (on its alternate stack) and leaves a post-mortem.
+// rejects nesting beyond Parser::MaxNesting, and integer literals past
+// int64, with an error response, and the daemon stays alive to answer the
+// next request. When something does overflow the stack, the flight
+// recorder's fatal-signal handler still runs (on its alternate stack) and
+// leaves a post-mortem.
 //
 //===----------------------------------------------------------------------===//
 
@@ -111,6 +112,25 @@ TEST(ReaderNesting, InputJustInsideTheLimitIsServed) {
                                      nestedFact(Deepest + 1) + "."))));
   EXPECT_TRUE(ok(respond(S, request("consult", "program",
                                     longBody(Parser::MaxNesting - 1)))));
+  EXPECT_TRUE(ok(respond(S, R"j({"op":"health"})j")));
+}
+
+TEST(ReaderIntegers, LiteralPastInt64GetsAnErrorResponse) {
+  AnalysisSession S;
+  for (const JsonValue &R :
+       {respond(S, request("consult", "program", "p(99999999999999999999).")),
+        respond(S, request("query", "goal", "X = 99999999999999999999"))}) {
+    EXPECT_FALSE(ok(R));
+    EXPECT_NE(R.stringOr("error", "").find("integer literal out of range"),
+              std::string::npos);
+  }
+  // The largest int64 still reads. Its negation's literal would not: the
+  // minus sign is an operator, so -9223372036854775808 is -(2^63), and
+  // 2^63 is out of range.
+  EXPECT_TRUE(
+      ok(respond(S, request("consult", "program", "p(9223372036854775807)."))));
+  EXPECT_FALSE(ok(respond(S, request("query", "goal",
+                                     "X = -9223372036854775808"))));
   EXPECT_TRUE(ok(respond(S, R"j({"op":"health"})j")));
 }
 

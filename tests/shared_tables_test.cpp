@@ -60,8 +60,7 @@ TEST(SharedTableSpaceTest, ExactlyOneClaimThenPublishedVisible) {
     Threads.emplace_back([&, T] {
       TermStore Store;
       TermRef Call = mkS(Store, P, {Store.mkVar(), Store.mkVar()});
-      SharedTableSpace::Outcome O =
-          Space.claim(Store, Call, P, 2, static_cast<uint32_t>(T));
+      SharedTableSpace::Outcome O = Space.claim(Store, Call, P, 2);
       ASSERT_NE(O.E, nullptr);
       if (O.H == SharedTableSpace::Hit::Claimed) {
         ClaimWins.fetch_add(1);
@@ -88,7 +87,7 @@ TEST(SharedTableSpaceTest, ExactlyOneClaimThenPublishedVisible) {
   // Quiescent re-claim: warm hit with the full table visible.
   TermStore Store;
   TermRef Call = mkS(Store, P, {Store.mkVar(), Store.mkVar()});
-  SharedTableSpace::Outcome O = Space.claim(Store, Call, P, 2, 99);
+  SharedTableSpace::Outcome O = Space.claim(Store, Call, P, 2);
   EXPECT_EQ(O.H, SharedTableSpace::Hit::Published);
   const SharedTableSpace::PublishedTable *PT = Space.published(*O.E);
   ASSERT_NE(PT, nullptr);
@@ -122,8 +121,7 @@ TEST(SharedTableSpaceTest, DistinctVariantsDistinctEntries) {
       for (uint32_t I = 0; I < NumVariants; ++I) {
         TermRef Call = mkS(Store, P, {Store.mkInt(int64_t(I)),
                                         Store.mkVar()});
-        SharedTableSpace::Outcome O =
-            Space.claim(Store, Call, P, 2, static_cast<uint32_t>(T));
+        SharedTableSpace::Outcome O = Space.claim(Store, Call, P, 2);
         if (O.H == SharedTableSpace::Hit::Claimed) {
           Wins[I].fetch_add(1, std::memory_order_relaxed);
           auto Table = std::make_unique<SharedTableSpace::PublishedTable>();
@@ -174,8 +172,7 @@ TEST(SharedTableSpaceTest, ConcurrentClaimsOneWinnerPerVariant) {
         TermRef Call = mkS(Store, P,
                            {Store.mkInt(int64_t(I / 2)),
                             I % 2 ? X : Store.mkVar(), X, Store.mkAtom(A)});
-        SharedTableSpace::Outcome O =
-            Space.claim(Store, Call, P, 4, static_cast<uint32_t>(T));
+        SharedTableSpace::Outcome O = Space.claim(Store, Call, P, 4);
         ASSERT_NE(O.E, nullptr);
         SharedTableSpace::Entry *Expected = nullptr;
         if (!Seen[I].compare_exchange_strong(Expected, O.E)) {
