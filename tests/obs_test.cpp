@@ -1067,43 +1067,43 @@ TEST_P(TelemetryPinTest, AttachedAndDetachedAgree) {
 // call, or the same calls in another order, must show up here.
 const PinCase PinCases[] = {
     {"prop_qsort", PinKind::Prop, "qsort",
-     {{200, 43, 44, 29, 43, 132, 459, 0, 0, 0, 0},
-      17796579436989402566ull,
-      {200, 43, 44, 29, 132, 43, 36, 43},
-      13734202060020530306ull,
-      {132, 44, 127, 7, 0, 20},
+     {{248, 43, 44, 94, 43, 125, 526, 0, 0, 0, 0},
+      16083457464518281414ull,
+      {248, 43, 44, 94, 125, 43, 62, 43},
+      10539288322561585100ull,
+      {125, 44, 197, 7, 0, 20},
       {0, 2, 44, 43},
       0}},
     {"prop_pg", PinKind::Prop, "pg",
-     {{256, 53, 56, 37, 53, 131, 279, 0, 0, 0, 0},
-      3718756316263166822ull,
-      {256, 53, 56, 37, 131, 53, 57, 53},
-      11892183601370733035ull,
-      {131, 56, 184, 7, 0, 25},
+     {{337, 53, 56, 111, 53, 124, 313, 0, 0, 0, 0},
+      1831675903753436050ull,
+      {337, 53, 56, 111, 124, 53, 59, 53},
+      14271700779269558433ull,
+      {124, 56, 267, 7, 0, 25},
       {0, 2, 56, 53},
       0}},
     {"prop_plan_aggregated", PinKind::PropAggregated, "plan",
-     {{491, 95, 106, 152, 95, 258, 435, 0, 0, 0, 0},
-      6150080274986406935ull,
-      {491, 95, 106, 152, 258, 95, 129, 95},
-      1751703512021825080ull,
-      {258, 106, 412, 9, 0, 44},
+     {{611, 95, 106, 300, 95, 249, 469, 0, 0, 0, 0},
+      14557576258864079795ull,
+      {611, 95, 106, 300, 249, 95, 176, 95},
+      8472634065948742206ull,
+      {249, 106, 559, 9, 0, 44},
       {0, 2, 106, 95},
       0}},
     {"strict_eu", PinKind::Strict, "eu",
-     {{179, 29, 98, 14, 29, 795, 1002, 0, 0, 0, 0},
-      10883069231768568708ull,
-      {179, 29, 98, 14, 795, 29, 70, 29},
-      7462544536206702076ull,
-      {67, 98, 805, 8, 0, 29},
+     {{179, 29, 98, 28, 29, 788, 1003, 0, 0, 0, 0},
+      12608627527648775374ull,
+      {179, 29, 98, 28, 788, 29, 70, 29},
+      1703492259120176202ull,
+      {59, 98, 805, 8, 0, 29},
       {0, 2, 98, 29},
       0}},
     {"strict_mergesort", PinKind::Strict, "mergesort",
-     {{289, 24, 65, 26, 24, 1026, 1123, 0, 0, 0, 0},
-      5461986796546685891ull,
-      {289, 24, 65, 26, 1026, 24, 75, 24},
-      2837928190396149178ull,
-      {78, 65, 695, 7, 0, 37},
+     {{464, 24, 65, 108, 24, 1011, 1257, 0, 0, 0, 0},
+      14634012587752083424ull,
+      {464, 24, 65, 108, 1011, 24, 236, 24},
+      8408904896666986038ull,
+      {63, 65, 990, 7, 0, 37},
       {0, 2, 65, 24},
       0}},
     {"depthk_qsort", PinKind::DepthK, "qsort",

@@ -542,7 +542,7 @@ TEST(TableResultsPinned, GroundnessResults) {
           All3,
       "main/1 success={(t)} calls={(f)}"};
   EXPECT_EQ(renderGroundness(*R), Expected);
-  expectTableCounts(R->Stats, 46, 47, 206, 500);
+  expectTableCounts(R->Stats, 46, 47, 238, 93);
 }
 
 /// Solves \p GoalText and returns every answer of the goal's subgoal,
@@ -629,7 +629,7 @@ TEST(TableResultsPinned, StrictnessResults) {
   }
   EXPECT_EQ(Rendered, (std::vector<std::string>{"ap e=ee d=dn", "len e=d d=d",
                                                 "rev e=e d=d"}));
-  expectTableCounts(R->Stats, 8, 32, 196, 150);
+  expectTableCounts(R->Stats, 8, 32, 196, 132);
 }
 
 } // namespace
