@@ -29,21 +29,24 @@ const char *lpa::evalPhaseName(EvalPhase P) {
 //===----------------------------------------------------------------------===//
 
 bool EvalCursor::read(Snapshot &Out, int MaxRetries) const {
+  // Acquire payload loads: seeing any store of a write that began after S1
+  // makes its odd seq visible to the second seq load, and keeps that load
+  // after them.
+  constexpr auto Acq = std::memory_order_acquire;
   for (int R = 0; R < MaxRetries; ++R) {
-    uint32_t S1 = Seq.load(std::memory_order_acquire);
+    uint32_t S1 = Seq.load(Acq);
     if (S1 & 1)
       continue; // Mid-write; retry.
-    Out.Phase = static_cast<EvalPhase>(PhaseSlot.load(std::memory_order_relaxed));
-    uint32_t D = DepthSlot.load(std::memory_order_relaxed);
+    Out.Phase = static_cast<EvalPhase>(PhaseSlot.load(Acq));
+    uint32_t D = DepthSlot.load(Acq);
     Out.Depth = D;
     size_t N = D < MaxFrames ? D : MaxFrames;
     for (size_t I = 0; I < N; ++I)
-      Out.Frames[I] = Frames[I].load(std::memory_order_relaxed);
-    Out.TableBytes = GTableBytes.load(std::memory_order_relaxed);
-    Out.Answers = GAnswers.load(std::memory_order_relaxed);
-    Out.Subgoals = GSubgoals.load(std::memory_order_relaxed);
-    Out.QueryId = QuerySlot.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+      Out.Frames[I] = Frames[I].load(Acq);
+    Out.TableBytes = GTableBytes.load(Acq);
+    Out.Answers = GAnswers.load(Acq);
+    Out.Subgoals = GSubgoals.load(Acq);
+    Out.QueryId = QuerySlot.load(Acq);
     if (Seq.load(std::memory_order_relaxed) == S1)
       return true;
   }

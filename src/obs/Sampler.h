@@ -11,24 +11,26 @@
 /// per engine transition — too much to leave on. This profiler inverts the
 /// cost: the engine *publishes* its position (the producer-call stack, the
 /// evaluation phase, and cheap table gauges) into an EvalCursor — a
-/// seqlock-style slot of a few relaxed atomic stores per update — and a
+/// seqlock-style slot of a few atomic stores per update — and a
 /// background Sampler thread *reads* the slot at a configurable rate
 /// (default ~1 kHz), aggregating what it sees into collapsed call-path
 /// stacks keyed by predicate. Evaluation never blocks and never allocates
 /// on behalf of the profiler.
 ///
 /// The engine reaches the cursor through its EvalObserver; a publish is a
-/// handful of relaxed atomic stores — no locks, no CAS.
+/// handful of atomic stores — no locks, no CAS.
 ///
 /// Concurrency (the TSan story, DESIGN.md §12): every payload field of the
-/// cursor is a std::atomic written with relaxed ordering, so the racing
-/// sampler read is *not* a data race under the C++ memory model — there is
-/// nothing for TSan to flag. The sequence counter only provides
-/// *cross-field consistency*: the writer brackets payload stores with
-/// seq+1 (odd) / seq+2 (even) around release fences, the reader rereads
-/// until it observes one even value on both sides of its payload loads
-/// (acquire fence in between), and gives up as "torn" after a bounded
-/// number of retries rather than spinning against a busy writer.
+/// cursor is a std::atomic, so the racing sampler read is *not* a data
+/// race under the C++ memory model — there is nothing for TSan to flag.
+/// The sequence counter only provides *cross-field consistency*: the
+/// writer stores seq+1 (odd), then the payload, then seq+2 (even); the
+/// reader rereads until it observes one even value on both sides of its
+/// payload loads, and gives up as "torn" after a bounded number of retries
+/// rather than spinning against a busy writer. The ordering uses no
+/// standalone fence, which TSan does not model: payload stores are
+/// releases and payload loads acquires, so a reader that sees any payload
+/// of a write also sees that write's odd seq in its second seq load.
 ///
 /// Exports: folded-stack text ("lane;pred/2;inner/3;[phase] COUNT" — feed
 /// straight to flamegraph.pl or speedscope) and a JSON profile block for
@@ -71,9 +73,9 @@ const char *evalPhaseName(EvalPhase P);
 /// The seqlock-style slot one Solver publishes its position through.
 /// Single writer (the engine thread that owns the solver), any number of
 /// readers (in practice one Sampler). See the file comment for the memory
-/// model; the short version is that payload fields are relaxed atomics (so
-/// the race is benign and TSan-clean) and the Seq counter detects torn
-/// cross-field snapshots.
+/// model; the short version is that payload fields are atomics stored
+/// with release and loaded with acquire (so the race is benign and
+/// TSan-checkable) and the Seq counter detects torn cross-field snapshots.
 class EvalCursor {
 public:
   /// Producer frames kept verbatim; deeper stacks publish their depth but
@@ -89,9 +91,9 @@ public:
     beginWrite();
     if (WDepth < MaxFrames)
       Frames[WDepth].store((uint64_t(Sym) << 32) | Arity,
-                           std::memory_order_relaxed);
-    DepthSlot.store(++WDepth, std::memory_order_relaxed);
-    PhaseSlot.store(uint8_t(EvalPhase::Resolve), std::memory_order_relaxed);
+                           std::memory_order_release);
+    DepthSlot.store(++WDepth, std::memory_order_release);
+    PhaseSlot.store(uint8_t(EvalPhase::Resolve), std::memory_order_release);
     endWrite();
   }
 
@@ -99,13 +101,13 @@ public:
     beginWrite();
     if (WDepth)
       --WDepth;
-    DepthSlot.store(WDepth, std::memory_order_relaxed);
+    DepthSlot.store(WDepth, std::memory_order_release);
     endWrite();
   }
 
   void setPhase(EvalPhase P) {
     beginWrite();
-    PhaseSlot.store(uint8_t(P), std::memory_order_relaxed);
+    PhaseSlot.store(uint8_t(P), std::memory_order_release);
     endWrite();
   }
 
@@ -114,7 +116,7 @@ public:
   /// service attribute profile cost to individual client requests.
   void setQueryId(uint64_t Q) {
     beginWrite();
-    QuerySlot.store(Q, std::memory_order_relaxed);
+    QuerySlot.store(Q, std::memory_order_release);
     endWrite();
   }
 
@@ -123,9 +125,9 @@ public:
   /// profile carries table-space watermarks as seen from outside.
   void setGauges(uint64_t TableBytes, uint64_t Answers, uint64_t Subgoals) {
     beginWrite();
-    GTableBytes.store(TableBytes, std::memory_order_relaxed);
-    GAnswers.store(Answers, std::memory_order_relaxed);
-    GSubgoals.store(Subgoals, std::memory_order_relaxed);
+    GTableBytes.store(TableBytes, std::memory_order_release);
+    GAnswers.store(Answers, std::memory_order_release);
+    GSubgoals.store(Subgoals, std::memory_order_release);
     endWrite();
   }
 
@@ -152,10 +154,9 @@ public:
   bool read(Snapshot &Out, int MaxRetries = 8) const;
 
 private:
-  void beginWrite() {
-    Seq.store(WSeq + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-  }
+  /// The payload stores that follow are releases: whoever sees one of
+  /// them also sees this odd seq.
+  void beginWrite() { Seq.store(WSeq + 1, std::memory_order_relaxed); }
   void endWrite() {
     WSeq += 2;
     Seq.store(WSeq, std::memory_order_release);
