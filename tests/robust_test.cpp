@@ -93,8 +93,10 @@ TEST(ReaderNesting, DeepInputGetsAnErrorResponse) {
 
   // A flat list is not nesting: 200,000 elements read fine.
   std::string List = "l([0";
-  for (int I = 1; I < 200000; ++I)
-    List += "," + std::to_string(I);
+  for (int I = 1; I < 200000; ++I) {
+    List += ',';
+    List += std::to_string(I);
+  }
   EXPECT_TRUE(ok(respond(S, request("consult", "program", List + "])."))));
 }
 
