@@ -7,6 +7,7 @@
 
 #include "term/Unify.h"
 
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -48,54 +49,42 @@ bool lpa::isGround(const TermStore &Store, TermRef T) {
 }
 
 bool lpa::unify(TermStore &Store, TermRef A, TermRef B, bool OccursCheck) {
-  std::vector<std::pair<TermRef, TermRef>> Work{{A, B}};
-  while (!Work.empty()) {
-    auto [X, Y] = Work.back();
-    Work.pop_back();
+  // Argument pairs of structures still to unify. Most calls bind a
+  // variable or compare two constants and never touch it, so it allocates
+  // only at the first pair of structures.
+  std::vector<std::pair<TermRef, TermRef>> Work;
+  for (TermRef X = A, Y = B;;) {
     X = Store.deref(X);
     Y = Store.deref(Y);
-    if (X == Y)
-      continue;
-
     TermTag TX = Store.tag(X), TY = Store.tag(Y);
-    if (TX == TermTag::Ref) {
+    if (X == Y) {
+      // Already identical.
+    } else if (TX == TermTag::Ref) {
       if (OccursCheck && TY == TermTag::Struct && occursIn(Store, X, Y))
         return false;
       Store.bind(X, Y);
-      continue;
-    }
-    if (TY == TermTag::Ref) {
+    } else if (TY == TermTag::Ref) {
       if (OccursCheck && TX == TermTag::Struct && occursIn(Store, Y, X))
         return false;
       Store.bind(Y, X);
-      continue;
-    }
-    if (TX != TY)
+    } else if (TX != TY) {
       return false;
-
-    switch (TX) {
-    case TermTag::Atom:
-      if (Store.symbol(X) != Store.symbol(Y))
-        return false;
-      break;
-    case TermTag::Int:
+    } else if (TX == TermTag::Int) {
       if (Store.intValue(X) != Store.intValue(Y))
         return false;
-      break;
-    case TermTag::Struct: {
+    } else {
+      // Atoms, or structures whose arguments unify pairwise.
       if (Store.symbol(X) != Store.symbol(Y) ||
           Store.arity(X) != Store.arity(Y))
         return false;
       for (uint32_t I = 0, E = Store.arity(X); I < E; ++I)
         Work.push_back({Store.arg(X, I), Store.arg(Y, I)});
-      break;
     }
-    case TermTag::Ref:
-      // Handled above.
-      break;
-    }
+    if (Work.empty())
+      return true;
+    std::tie(X, Y) = Work.back();
+    Work.pop_back();
   }
-  return true;
 }
 
 bool lpa::termsEqual(const TermStore &Store, TermRef A, TermRef B) {
